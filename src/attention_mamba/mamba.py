@@ -9,7 +9,12 @@ The scan discretizes the continuous system with zero-order hold on the
 state matrix and an Euler step on the input: per channel c and token t,
     h_t = exp(dt_t * a_c) * h_{t-1} + (dt_t * b_t) * u_t
     y_t = c_t . h_t + d_c * u_t,       h_0 = 0.
-It runs sequentially over tokens; at desk scale this is the whole cost.
+The scan is one tape node, `tensor_core.selective_scan`: its forward builds
+decays and drives in bulk over cache-sized runs of tokens and loops over
+tokens only for the state update; its backward runs the reverse recurrence
+once and gives every input gradient in closed form. Its tape cost does not
+grow with the token count; its time and the states it keeps for the
+backward, [N, B, C, S], grow linearly.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from .layers import LinearLayer, linear
 from .tensor_core import (
     ShapeError,
     Tensor,
-    concatenate,
     conv1d_depthwise_causal,
     reverse,
+    selective_scan,
     slice_axis,
 )
 
@@ -104,40 +109,6 @@ class MambaParams:
         out.append(("A_log", self.A_log))
         out.append(("D_skip", self.D_skip))
         return out
-
-
-def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
-                   C_ssm: Tensor, D_skip: Tensor) -> Tensor:
-    """Run the selective recurrence over the token axis.
-
-    u, delta: [B, C, N]; A: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
-    delta must be strictly positive (and A negative) for a stable step.
-    """
-    batch, channels, n_tokens = u.data.shape
-    state_dim = A.data.shape[1]
-    if delta.data.shape != u.data.shape:
-        raise ShapeError(f"delta shape {delta.data.shape} must match u {u.data.shape}")
-    if B_ssm.data.shape != (batch, n_tokens, state_dim) or C_ssm.data.shape != (batch, n_tokens, state_dim):
-        raise ShapeError(
-            f"B/C shapes {B_ssm.data.shape}/{C_ssm.data.shape} must be {(batch, n_tokens, state_dim)}"
-        )
-    if np.any(delta.data <= 0):
-        raise ValueError("selective_scan requires strictly positive delta")
-
-    d_col = D_skip.reshape(channels, 1)
-    h = Tensor(np.zeros((batch, channels, state_dim), dtype=u.data.dtype))
-    outputs = []
-    for t in range(n_tokens):
-        delta_t = slice_axis(delta, 2, t, t + 1)   # [B, C, 1]
-        u_t = slice_axis(u, 2, t, t + 1)           # [B, C, 1]
-        b_t = slice_axis(B_ssm, 1, t, t + 1)       # [B, 1, S]
-        c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
-        decay = (delta_t * A).exp()                # [B, C, S]
-        drive = (delta_t * u_t) * b_t              # [B, C, S]
-        h = decay * h + drive
-        y_t = (h * c_t).sum(axis=-1, keepdims=True) + d_col * u_t
-        outputs.append(y_t)
-    return concatenate(outputs, axis=2)
 
 
 def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:

@@ -8,8 +8,11 @@ is no GPU path and no graph optimization.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
-documented contract, but the general rule is implemented because the
-state-space recurrence expands [B,C,1]-by-[B,1,S] style products.
+documented contract, but the general rule is implemented because RevIN's
+[B, 1, N] statistics broadcast over the time axis.
+
+The selective scan is a single fused node (``selective_scan``) with a
+hand-written backward, not a chain of per-token elementwise nodes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from scipy.special import erf as _sp_erf, expit as _sp_expit
 __all__ = [
     "Tensor",
     "ShapeError",
+    "NonPositiveStepError",
     "matmul",
     "concatenate",
     "slice_axis",
@@ -32,6 +36,7 @@ __all__ = [
     "softmax_last",
     "affine",
     "conv1d_depthwise_causal",
+    "selective_scan",
     "adaptive_avg_pool_last",
     "adaptive_max_pool_last",
     "pool_window_bounds",
@@ -45,10 +50,17 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TWO_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
+# Elements of one [tokens, B, C, S] run of the selective scan: 1-2 MB, so a
+# run's decays, states and gradients stay in cache between passes.
+_SCAN_RUN_ELEMENTS = 1 << 18
 
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
+
+
+class NonPositiveStepError(ValueError):
+    """A selective scan got a step size delta <= 0, e.g. from softplus underflow."""
 
 
 # --------------------------------------------------------------------------
@@ -279,19 +291,25 @@ class Tensor:
 
     # -- pointwise nonlinearities --------------------------------------------
 
+    # Closures below capture output arrays, never `out` itself: a node whose
+    # backward refers to the node is a reference cycle, which keeps the whole
+    # upstream graph alive until the cyclic collector runs.
+
     def exp(self) -> "Tensor":
-        out = _node(np.exp(self.data), (self,))
+        y = np.exp(self.data)
+        out = _node(y, (self,))
         if out.requires_grad:
             def back(g):
-                _acc(self, g * out.data)
+                _acc(self, g * y)
             out._backward = back
         return out
 
     def sqrt(self) -> "Tensor":
-        out = _node(np.sqrt(self.data), (self,))
+        y = np.sqrt(self.data)
+        out = _node(y, (self,))
         if out.requires_grad:
             def back(g):
-                _acc(self, g * 0.5 / out.data)
+                _acc(self, g * 0.5 / y)
             out._backward = back
         return out
 
@@ -305,10 +323,10 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        out = _node(_sp_expit(self.data), (self,))
+        s = _sp_expit(self.data)
+        out = _node(s, (self,))
         if out.requires_grad:
             def back(g):
-                s = out.data
                 _acc(self, g * s * (1.0 - s))
             out._backward = back
         return out
@@ -558,6 +576,114 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 _acc(weight, gw)
             if bias.requires_grad:
                 _acc(bias, g.sum(axis=(0, 2)))
+        out._backward = back
+    return out
+
+
+def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
+                   C_ssm: Tensor, D_skip: Tensor) -> Tensor:
+    """Selective state-space recurrence over the token axis, as one tape node.
+
+    u, delta: [B, C, N]; A: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
+    Per token t, with h_{-1} = 0 and the products broadcast over [B, C, S]:
+        h_t = exp(delta_t * A) * h_{t-1} + (delta_t * u_t) * B_t
+        y_t = (h_t * C_t).sum(-1) + D * u_t
+    delta must be strictly positive (and A negative) for a stable step.
+
+    The work is token-major, [N, B, C, S], in runs of tokens small enough
+    to stay in cache: each run builds its decays exp(delta_t * A) and
+    drives (delta_t * u_t) * B_t in bulk, then overwrites the drives in
+    place with the states. The node saves only the states h; the backward
+    rebuilds each run's decays, runs the reverse recurrence
+        dh_t = g_t * C_t + decay_{t+1} * dh_{t+1}
+    and reads the gradients of all six inputs off dh and h in closed form.
+    """
+    batch, channels, n_tokens = u.data.shape
+    state_dim = A.data.shape[1]
+    if delta.data.shape != u.data.shape:
+        raise ShapeError(f"delta shape {delta.data.shape} must match u {u.data.shape}")
+    if B_ssm.data.shape != (batch, n_tokens, state_dim) or C_ssm.data.shape != (batch, n_tokens, state_dim):
+        raise ShapeError(
+            f"B/C shapes {B_ssm.data.shape}/{C_ssm.data.shape} must be {(batch, n_tokens, state_dim)}"
+        )
+    if np.any(delta.data <= 0):
+        raise NonPositiveStepError("selective_scan requires strictly positive delta")
+
+    inputs = (u, delta, A, B_ssm, C_ssm, D_skip)
+    dtype = np.result_type(*(t.data for t in inputs))
+    a_mat = A.data
+    delta_n = delta.data.transpose(2, 0, 1)                  # [N, B, C] views
+    u_n = u.data.transpose(2, 0, 1)
+    b_n = B_ssm.data.transpose(1, 0, 2)[:, :, None, :]       # [N, B, 1, S]
+    c_n = C_ssm.data.transpose(1, 0, 2)[:, :, None, :]
+    delta_u = delta_n * u_n
+    span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
+    runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
+    slab = np.empty((min(span, n_tokens), batch, channels, state_dim), dtype)
+
+    def decays(lo, hi):
+        dec = slab[:hi - lo]
+        np.multiply(delta_n[lo:hi, :, :, None], a_mat, out=dec)
+        return np.exp(dec, out=dec)
+
+    h = np.empty((n_tokens, batch, channels, state_dim), dtype)
+    y = np.empty((n_tokens, batch, channels), dtype)
+    step = np.empty(h.shape[1:], dtype)
+    for lo, hi in runs:
+        dec = decays(lo, hi)
+        np.multiply(delta_u[lo:hi, :, :, None], b_n[lo:hi], out=h[lo:hi])
+        for t in range(max(lo, 1), hi):
+            np.multiply(dec[t - lo], h[t - 1], out=step)
+            np.add(step, h[t], out=h[t])
+        np.multiply(h[lo:hi], c_n[lo:hi], out=dec).sum(axis=-1, out=y[lo:hi])
+    y += D_skip.data * u_n
+    out = _node(np.ascontiguousarray(y.transpose(1, 2, 0)), inputs)
+    if out.requires_grad:
+        def back(g):
+            g_n = g.transpose(2, 0, 1)
+            need_dh_b = u.requires_grad or delta.requires_grad
+            need_log = delta.requires_grad or A.requires_grad
+            dh_b = np.empty_like(delta_u) if need_dh_b else None      # sum_s dh_t * B_t
+            d_log = np.empty_like(delta_u) if delta.requires_grad else None
+            d_a = np.zeros_like(a_mat, dtype=dtype) if A.requires_grad else None
+            d_b = np.empty((n_tokens, batch, state_dim), dtype) if B_ssm.requires_grad else None
+            dh_slab = np.empty_like(slab)
+            carry_slab = np.empty_like(slab)
+            carry = np.zeros(h.shape[1:], dtype)                       # decay_{t+1} * dh_{t+1}
+            for lo, hi in reversed(runs):
+                k = hi - lo
+                dec = decays(lo, hi)
+                dh = np.multiply(g_n[lo:hi, :, :, None], c_n[lo:hi], out=dh_slab[:k])
+                for t in range(k - 1, -1, -1):
+                    dh[t] += carry
+                    carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
+                carry = carry.copy()   # it is carry_slab[0], overwritten below
+                if need_dh_b:
+                    np.matmul(dh, b_n[lo:hi].swapaxes(-1, -2), out=dh_b[lo:hi, :, :, None])
+                if d_b is not None:
+                    np.matmul(delta_u[lo:hi, :, None, :], dh, out=d_b[lo:hi, :, None, :])
+                if need_log:
+                    # gradient of delta_t * A through the decay: decay_t * dh_t * h_{t-1}
+                    log_grad = carry_slab[:k]
+                    first = 1 if lo == 0 else 0
+                    log_grad[:first] = 0
+                    log_grad[first:] *= h[lo + first - 1:hi - 1]
+                    if d_log is not None:
+                        np.einsum("nbcs,cs->nbc", log_grad, a_mat, out=d_log[lo:hi])
+                    if d_a is not None:
+                        d_a += np.einsum("nbcs,nbc->cs", log_grad, delta_n[lo:hi])
+            if delta.requires_grad:
+                _acc(delta, (u_n * dh_b + d_log).transpose(1, 2, 0))
+            if A.requires_grad:
+                _acc(A, d_a)
+            if u.requires_grad:
+                _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 2, 0))
+            if B_ssm.requires_grad:
+                _acc(B_ssm, d_b.transpose(1, 0, 2))
+            if C_ssm.requires_grad:
+                _acc(C_ssm, np.matmul(g_n[:, :, None, :], h)[:, :, 0].transpose(1, 0, 2))
+            if D_skip.requires_grad:
+                _acc(D_skip, np.einsum("bcn,bcn->c", g, u.data))
         out._backward = back
     return out
 

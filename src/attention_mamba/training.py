@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import DataError, SplitDataset, WindowSample
 from .model import AttentionMambaModel, ConfigError
-from .tensor_core import Tensor, gradients
+from .tensor_core import NonPositiveStepError, Tensor, gradients
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,8 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     """Minimize MSE over the train windows; deterministic for a fixed seed.
 
     Keeps the best-validation checkpoint and restores it into the model on
-    exit. A non-finite loss or gradient aborts with the last good
+    exit. A non-finite loss or gradient, or a step size that underflowed
+    to zero (NonPositiveStepError from the scan), aborts with the last good
     checkpoint and the result flagged as diverged.
     """
     train_windows = dataset.windows("train")
@@ -176,31 +177,31 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
         order = rng.permutation(len(xs))
         sq_sum = 0.0
         n_elem = 0
-        for i in range(0, len(order), cfg.batch_size):
-            idx = order[i:i + cfg.batch_size]
-            yhat, _ = model.forward(xs[idx])
-            diff = yhat - Tensor(ys[idx])
-            loss = (diff * diff).mean()
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                log.error("training diverged at epoch %d; restoring best checkpoint", epoch)
-                _restore(model, best_params)
-                return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
-            sq_sum += loss_val * diff.data.size
-            n_elem += diff.data.size
-            grads = gradients(loss, params)
-            try:
+        try:
+            for i in range(0, len(order), cfg.batch_size):
+                idx = order[i:i + cfg.batch_size]
+                yhat, _ = model.forward(xs[idx])
+                diff = yhat - Tensor(ys[idx])
+                loss = (diff * diff).mean()
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    log.error("training diverged at epoch %d; restoring best checkpoint", epoch)
+                    _restore(model, best_params)
+                    return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
+                sq_sum += loss_val * diff.data.size
+                n_elem += diff.data.size
+                grads = gradients(loss, params)
                 if cfg.clip_norm > 0:
                     clip_global_norm(grads, cfg.clip_norm)
                 adam_step(named, grads, opt)
-            except NonFiniteGradientError as exc:
-                log.error("%s; restoring best checkpoint", exc)
-                _restore(model, best_params)
-                return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
 
-        train_mse = sq_sum / n_elem
-        val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0] \
-            if val_windows else train_mse
+            train_mse = sq_sum / n_elem
+            val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0] \
+                if val_windows else train_mse
+        except (NonFiniteGradientError, NonPositiveStepError) as exc:
+            log.error("%s; restoring best checkpoint", exc)
+            _restore(model, best_params)
+            return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
         curve.append((epoch, train_mse, val_mse))
 
         if val_mse < best_val:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from attention_mamba import tensor_core
 from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import Tensor, gradients, reverse
+from attention_mamba.tensor_core import Tensor, concatenate, gradients, reverse, slice_axis
 from helpers import numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
@@ -20,6 +21,31 @@ def naive_scan(u, delta, A, B, C, D):
         h = dA * h + dBu
         y[:, :, t] = (h * C[:, None, t, :]).sum(axis=-1) + D[None, :] * u[:, :, t]
     return y
+
+
+def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
+    """The scan built from per-token tape ops, about a dozen nodes per token."""
+    batch, channels, n_tokens = u.data.shape
+    state_dim = A.data.shape[1]
+    d_col = D_skip.reshape(channels, 1)
+    h = Tensor(np.zeros((batch, channels, state_dim), dtype=u.data.dtype))
+    outputs = []
+    for t in range(n_tokens):
+        delta_t = slice_axis(delta, 2, t, t + 1)   # [B, C, 1]
+        u_t = slice_axis(u, 2, t, t + 1)           # [B, C, 1]
+        b_t = slice_axis(B_ssm, 1, t, t + 1)       # [B, 1, S]
+        c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
+        decay = (delta_t * A).exp()                # [B, C, S]
+        drive = (delta_t * u_t) * b_t              # [B, C, S]
+        h = decay * h + drive
+        y_t = (h * c_t).sum(axis=-1, keepdims=True) + d_col * u_t
+        outputs.append(y_t)
+    return concatenate(outputs, axis=2)
+
+
+# Token-run sizes for the fused scan: one token per run, runs that split
+# mid-batch, and the default, under which these small inputs form one run.
+RUN_SIZES = (1, 37, tensor_core._SCAN_RUN_ELEMENTS)
 
 
 def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
@@ -93,6 +119,73 @@ class TestSelectiveScan:
 
             err = rel_error(analytic[idx], numerical_grad(f, arrays[idx]))
             assert err < 1e-6, f"scan input {idx}: rel err {err}"
+
+
+class TestFusedScanOracle:
+    """The fused scan node against the per-token tape scan it replaces."""
+
+    @staticmethod
+    def sweep_dims(rng):
+        for trial in range(8):
+            yield dict(
+                batch=int(rng.integers(2, 4)),
+                channels=int(rng.integers(1, 9)),
+                n=1 if trial == 0 else int(rng.integers(1, 17)),
+                state=int(rng.integers(1, 9)),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_to_tape_scan(self, dtype, monkeypatch):
+        rng = np.random.default_rng(11)
+        for run in RUN_SIZES:
+            monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
+            for dims in self.sweep_dims(rng):
+                tensors = [Tensor(a.astype(dtype)) for a in random_scan_inputs(rng, **dims)]
+                got = selective_scan(*tensors).data
+                want = tape_scan_reference(*tensors).data
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), (run, dims)
+
+    def test_gradients_match_tape_scan_float64(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for run in RUN_SIZES:
+            monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
+            for dims in self.sweep_dims(rng):
+                arrays = random_scan_inputs(rng, **dims)
+                probe = Tensor(rng.standard_normal(arrays[0].shape))
+                grads = []
+                for scan in (selective_scan, tape_scan_reference):
+                    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+                    grads.append(gradients((scan(*leaves) * probe).sum(), leaves))
+                for idx, (got, want) in enumerate(zip(*grads)):
+                    err = rel_error(got, want)
+                    assert err < 1e-9, f"run {run}, {dims}, input {idx}: rel err {err}"
+
+    @pytest.mark.parametrize("wanted", [(0, 3), (1, 2, 5), (4,)])
+    def test_gradcheck_with_some_inputs_constant(self, wanted, monkeypatch):
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 20)
+        rng = np.random.default_rng(13)
+        arrays = random_scan_inputs(rng, batch=2, channels=3, n=5, state=2)
+        probe = Tensor(rng.standard_normal(arrays[0].shape))
+        leaves = [Tensor(a, requires_grad=i in wanted) for i, a in enumerate(arrays)]
+        analytic = gradients((selective_scan(*leaves) * probe).sum(), [leaves[i] for i in wanted])
+        for i, leaf in enumerate(leaves):
+            if i not in wanted:
+                assert leaf.grad is None, f"constant input {i} received a gradient"
+        for i, got in zip(wanted, analytic):
+            def f(v, i=i):
+                args = [Tensor(v if j == i else a) for j, a in enumerate(arrays)]
+                return (selective_scan(*args) * probe).sum().item()
+
+            err = rel_error(got, numerical_grad(f, arrays[i]))
+            assert err < 1e-6, f"input {i}: rel err {err}"
+
+    def test_one_tape_node_whatever_the_length(self):
+        for n in (1, 16):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in random_scan_inputs(RNG, batch=2, n=n)]
+            out = selective_scan(*leaves)
+            assert out._prev == tuple(leaves)
 
 
 class TestStability:

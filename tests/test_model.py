@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -90,6 +91,22 @@ class TestForward:
         out1 = tiny_model(seed=5).forward(x)[0].data
         out2 = tiny_model(seed=5).forward(x)[0].data
         assert np.array_equal(out1, out2)
+
+    def test_training_graph_leaves_no_reference_cycles(self):
+        # A node whose backward refers to the node itself is a cycle; it keeps
+        # the node's whole upstream graph alive until the cyclic collector runs.
+        model = tiny_model()
+        x = RNG.standard_normal((2, 8, 3))
+        gc.collect()
+        gc.disable()
+        try:
+            yhat, trace = model.forward(x)
+            loss = (yhat * yhat).mean()
+            gradients(loss, [t for _, t in model.named_parameters()])
+            del yhat, trace, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_persistence_wiring_through_revin(self):
         # copying the last normalized lookback value must denormalize to a

@@ -145,6 +145,18 @@ class TestTrain:
         for name, t in model.named_parameters():
             assert np.all(np.isfinite(t.data)), name
 
+    def test_underflowed_step_size_rolls_back(self):
+        # softplus(-200) is 0.0 in float32, so the scan sees a zero step size
+        model = tiny_model(precision="32")
+        for branch in (model.mamba_fwd, model.mamba_bwd):
+            branch.dt_proj.bias.data[:] = -200.0
+        before = {n: t.data.copy() for n, t in model.named_parameters()}
+        result = train(model, tiny_dataset(), TrainRunConfig(epochs=3, batch_size=16))
+        assert result.diverged
+        assert result.curve == []
+        for name, t in model.named_parameters():
+            np.testing.assert_array_equal(t.data, before[name])
+
     def test_early_stopping_on_stale_validation(self):
         # pure noise: validation cannot keep improving for 40 epochs
         rng = np.random.default_rng(5)
