@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class RawSeries:
 
     values: np.ndarray          # [timesteps, N] float64
     names: list[str]
-    granularity: str = "unknown"
 
     @property
     def timesteps(self) -> int:
@@ -56,13 +55,14 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def load_csv(path, granularity: str = "unknown") -> RawSeries:
+def load_csv(path) -> RawSeries:
     """Parse a rectangular numeric CSV.
 
     A first row of entirely non-numeric cells is treated as a header; a
     non-numeric first cell on data rows marks a timestamp column, which is
     dropped. Ragged rows, non-numeric data cells, and empty files each
-    raise their own error.
+    raise their own error; a non-finite cell ("nan", "inf") counts as
+    non-numeric.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -97,9 +97,15 @@ def load_csv(path, granularity: str = "unknown") -> RawSeries:
                 raise NonNumericCellError(
                     f"{path}: non-numeric cell {cell!r} at row {i + 1}, column {j + first_col + 1}"
                 ) from None
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        col = j + first_col
+        raise NonNumericCellError(
+            f"{path}: non-finite cell {rows[i][col]!r} at row {i + 1}, column {col + 1}"
+        )
     if names is None:
         names = [f"v{j}" for j in range(width)]
-    return RawSeries(values=out, names=names, granularity=granularity)
+    return RawSeries(values=out, names=names)
 
 
 def write_csv(path, series: RawSeries) -> None:
@@ -283,4 +289,4 @@ def generate_synthetic(spec: SyntheticSpec) -> RawSeries:
     if spec.noise_std > 0:
         values += rng.normal(0.0, spec.noise_std, size=values.shape)
     names = [f"v{j}" for j in range(spec.n_variates)]
-    return RawSeries(values=values, names=names, granularity="synthetic")
+    return RawSeries(values=values, names=names)

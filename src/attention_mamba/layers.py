@@ -22,10 +22,6 @@ class LinearLayer:
     def in_dim(self) -> int:
         return self.weight.data.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weight.data.shape[1]
-
     @staticmethod
     def init(in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32) -> "LinearLayer":
         """Uniform init in [-1/sqrt(in), +1/sqrt(in)] for weight and bias."""
@@ -89,6 +85,3 @@ class RevIN:
                 f"denormalize input {y.data.shape} does not match state {state.mu.data.shape}"
             )
         return (y - self.beta) / self.gamma * state.sigma + state.mu
-
-    def parameters(self) -> list[Tensor]:
-        return [self.gamma, self.beta]

@@ -139,16 +139,15 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
 
 
 def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams, *,
-                        variant: str = "fused-reverse", mamba_fn=mamba_forward) -> Tensor:
+                        variant: str = "fused-reverse") -> Tensor:
     """Combine a normal-order and a reversed-order scan over the token axis.
 
     "fused-reverse" reverses the sum of both branch outputs, i.e.
     value = reverse(mamba(x) + mamba(reverse(x))). "per-branch-reverse" is
     the conventional placement that re-reverses only the reversed branch.
-    `mamba_fn` exists as an injection point for wiring tests.
     """
-    normal = mamba_fn(x, p_fwd)
-    reversed_branch = mamba_fn(reverse(x, 1), p_bwd)
+    normal = mamba_forward(x, p_fwd)
+    reversed_branch = mamba_forward(reverse(x, 1), p_bwd)
     if variant == "fused-reverse":
         return reverse(normal + reversed_branch, 1)
     if variant == "per-branch-reverse":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        unknown = set(d) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
         return ModelConfig(**d)
 
 
@@ -114,23 +117,18 @@ class AttentionMambaModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def forward(self, x, weights_override: np.ndarray | None = None) -> tuple[Tensor, ForwardTrace]:
-        """Forecast [B, T, N] from a lookback window [B, L, N].
-
-        `weights_override` replaces the attention weights verbatim; it is a
-        test hook for isolating the fusion stage.
-        """
+    def forward(self, x: np.ndarray) -> tuple[Tensor, ForwardTrace]:
+        """Forecast [B, T, N] from a lookback window [B, L, N]."""
         cfg = self.config
-        data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=cfg.dtype)
+        data = np.asarray(x, dtype=cfg.dtype)
         if data.ndim != 3 or data.shape[1] != cfg.lookback or data.shape[2] != cfg.n_variates:
             raise ShapeError(
                 f"input must be [B, {cfg.lookback}, {cfg.n_variates}], got {data.shape}"
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("input window contains non-finite values")
-        x = x if isinstance(x, Tensor) else Tensor(data)
 
-        normalized, state = self.revin.normalize(x)
+        normalized, state = self.revin.normalize(Tensor(data))
         tokens = normalized.transpose_last2()            # [B, N, L]
         embedded = linear(tokens, self.embed)            # [B, N, E]
 
@@ -139,13 +137,6 @@ class AttentionMambaModel:
             embedded, self.mamba_fwd, self.mamba_bwd,
             variant=cfg.bidirectional_variant,
         )
-        if weights_override is not None:
-            weights = Tensor(np.asarray(weights_override, dtype=cfg.dtype))
-        if weights.data.shape != value.data.shape:
-            raise ShapeError(
-                f"fusion requires equal shapes, got weights {weights.data.shape} "
-                f"vs value {value.data.shape}"
-            )
         fused = weights * value                          # elementwise, [B, N, E]
 
         horizon_first = linear(fused, self.head).transpose_last2()   # [B, T, N]
@@ -208,10 +199,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
 def save_model(path, model: AttentionMambaModel, extras: dict[str, np.ndarray] | None = None) -> None:
     """Checkpoint the model parameters plus optional extra arrays
 
-    (the dataset scaler, for instance), all in one container.
+    (the dataset scaler, for instance), all in one container. An extra
+    may not reuse a parameter's name.
     """
     tensors = {name: t.data for name, t in model.named_parameters()}
     if extras:
+        clash = tensors.keys() & extras.keys()
+        if clash:
+            raise ValueError(f"checkpoint extras collide with parameter names: {sorted(clash)}")
         tensors.update(extras)
     save_checkpoint(path, model.config, tensors)
 

@@ -25,23 +25,6 @@ from .tensor_core import (
 )
 
 
-def adaptive_pool_1d(x: Tensor, target: int, mode: str = "avg") -> Tensor:
-    """Adaptive pooling of the last axis down to `target` elements.
-
-    Output element i aggregates the input window
-    [floor(i*I/target), ceil((i+1)*I/target)). Only downscaling is part of
-    this op's contract; targets above the input extent are rejected.
-    """
-    in_size = x.data.shape[-1]
-    if target < 1 or target > in_size:
-        raise ShapeError(f"pooling target must satisfy 1 <= target <= {in_size}, got {target}")
-    if mode == "avg":
-        return adaptive_avg_pool_last(x, target)
-    if mode == "max":
-        return adaptive_max_pool_last(x, target)
-    raise ValueError(f"unknown pooling mode {mode!r}")
-
-
 def _pool_two_axes(x: Tensor, target: int, pool) -> Tensor:
     """Pool axis -2 then axis -1, each to `target`, with one pooling op.
 

@@ -3,8 +3,10 @@
 Every forward operation returns a new :class:`Tensor` that remembers its
 parents and a backward closure; ``backward()`` replays the implicit tape
 once in reverse topological order. Arrays are numpy, row-major, float32
-or float64. The op set is exactly what the forecasting model needs; there
-is no GPU path and no graph optimization.
+or float64. The op set is what the forecasting model runs, plus
+``concatenate``, which the model does not use: it is kept so that the
+per-token tape scan that serves as the fused scan's test oracle can be
+built from tape ops. There is no GPU path and no graph optimization.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
@@ -42,14 +44,12 @@ __all__ = [
     "pool_window_bounds",
     "backward",
     "gradients",
-    "zero_grad",
     "count_macs",
     "MacCounter",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_TWO_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
 # Elements of one [tokens, B, C, S] run of the selective scan: 1-2 MB, so a
 # run's decays, states and gradients stay in cache between passes.
 _SCAN_RUN_ELEMENTS = 1 << 18
@@ -272,23 +272,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Max along one axis; gradient routes to the first maximal element."""
-        idx = np.argmax(self.data, axis=axis)
-        out_data = np.take_along_axis(self.data, np.expand_dims(idx, axis), axis=axis)
-        if not keepdims:
-            out_data = np.squeeze(out_data, axis=axis)
-        out = _node(out_data, (self,))
-        if out.requires_grad:
-            shape = self.data.shape
-            def back(g):
-                gx = np.zeros(shape, dtype=g.dtype)
-                gg = g if keepdims else np.expand_dims(g, axis)
-                np.put_along_axis(gx, np.expand_dims(idx, axis), gg, axis=axis)
-                _acc(self, gx)
-            out._backward = back
-        return out
-
     # -- pointwise nonlinearities --------------------------------------------
 
     # Closures below capture output arrays, never `out` itself: a node whose
@@ -310,24 +293,6 @@ class Tensor:
         if out.requires_grad:
             def back(g):
                 _acc(self, g * 0.5 / y)
-            out._backward = back
-        return out
-
-    def erf(self) -> "Tensor":
-        out = _node(_sp_erf(self.data), (self,))
-        if out.requires_grad:
-            x = self.data
-            def back(g):
-                _acc(self, g * _TWO_OVER_SQRTPI * np.exp(-x * x))
-            out._backward = back
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        s = _sp_expit(self.data)
-        out = _node(s, (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, g * s * (1.0 - s))
             out._backward = back
         return out
 
@@ -361,9 +326,6 @@ class Tensor:
                 _acc(self, g * _sp_expit(x))
             out._backward = back
         return out
-
-    def backward(self) -> None:
-        backward(self)
 
 
 # --------------------------------------------------------------------------
@@ -460,6 +422,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along one axis; no model path uses it, only the scan oracle."""
     tensors = [_as_tensor(t) for t in tensors]
     out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
@@ -786,8 +749,3 @@ def gradients(loss: Tensor, params: Iterable[Tensor]) -> list:
         p.grad = None
     backward(loss)
     return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

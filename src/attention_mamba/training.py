@@ -226,11 +226,3 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     if best_epoch >= 0:
         _restore(model, best_params)
     return TrainResult(curve, best_epoch, best_val, best_params)
-
-
-def write_loss_curve(path, curve) -> None:
-    """CSV with one row per epoch: epoch, train_mse, val_mse."""
-    with open(path, "w") as fh:
-        fh.write("epoch,train_mse,val_mse\n")
-        for epoch, train_mse, val_mse in curve:
-            fh.write(f"{epoch},{train_mse!r},{val_mse!r}\n")

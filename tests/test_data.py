@@ -54,6 +54,18 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCellError, match="oops"):
             load_csv(p)
 
+    def test_nan_cell_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("t,a,b\n2016-07-01,1.0,2.0\n2016-07-02,3.0,nan\n")
+        with pytest.raises(NonNumericCellError, match="'nan' at row 2, column 3"):
+            load_csv(p)
+
+    def test_negative_infinity_cell_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("1.0,2.0\n-inf,4.0\n")
+        with pytest.raises(NonNumericCellError, match="'-inf' at row 2, column 1"):
+            load_csv(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("")
@@ -181,7 +193,6 @@ class TestSynthetic:
         series = generate_synthetic(SyntheticSpec(n_variates=4, timesteps=128))
         assert series.values.shape == (128, 4)
         assert series.names[0] == "v0"
-        assert series.granularity == "synthetic"
 
     def test_seeded_determinism(self):
         a = generate_synthetic(SyntheticSpec(seed=7, timesteps=64)).values

@@ -50,6 +50,11 @@ class TestConfig:
         cfg = ModelConfig(n_variates=7, lookback=96, horizon=24, embed_dim=32)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_keys_rejected(self):
+        d = TINY.to_dict() | {"dropout": 0.1, "heads": 4}
+        with pytest.raises(ConfigError, match=r"\['dropout', 'heads'\]"):
+            ModelConfig.from_dict(d)
+
 
 class TestForward:
     def test_shape_contract(self):
@@ -65,14 +70,14 @@ class TestForward:
     def test_all_ones_weights_makes_fusion_identity(self):
         model = tiny_model()
         x = RNG.standard_normal((2, 8, 3))
-        _, trace = model.forward(x, weights_override=np.ones((2, 3, 8)))
+        _, trace = model.forward(x)
+        assert np.array_equal(trace.weighted_value, trace.attention.weights * trace.value)
+        # a zero token-axis recovery map with unit bias makes every weight 1
+        model.attn.recover_n.weight.data[:] = 0.0
+        model.attn.recover_n.bias.data[:] = 1.0
+        _, trace = model.forward(x)
+        np.testing.assert_array_equal(trace.attention.weights, np.ones((2, 3, 8)))
         np.testing.assert_array_equal(trace.weighted_value, trace.value)
-
-    def test_fusion_shapes_asserted(self):
-        model = tiny_model()
-        x = RNG.standard_normal((1, 8, 3))
-        with pytest.raises(ShapeError):
-            model.forward(x, weights_override=np.ones((1, 3, 4)))
 
     def test_non_finite_input_rejected(self):
         model = tiny_model()
@@ -209,6 +214,13 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTAMODEL!" + path.read_bytes()[10:])
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(bad)
+
+    def test_extra_colliding_with_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        extras = {"head.bias": np.zeros(4), "scaler.mean": np.zeros(3)}
+        with pytest.raises(ValueError, match=r"\['head.bias'\]"):
+            save_model(path, tiny_model(), extras=extras)
+        assert not path.exists()
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model()

@@ -4,14 +4,22 @@ import pytest
 from attention_mamba.pooled_attention import (
     AttentionTrace,
     PooledAttentionParams,
-    adaptive_pool_1d,
     attention_weights,
     fuse_pool,
 )
-from attention_mamba.tensor_core import ShapeError, Tensor, gradients, softmax_last
+from attention_mamba.tensor_core import (
+    ShapeError,
+    Tensor,
+    adaptive_avg_pool_last,
+    adaptive_max_pool_last,
+    gradients,
+    softmax_last,
+)
 from helpers import numerical_grad, rel_error
 
 RNG = np.random.default_rng(23)
+
+POOLS = {"avg": adaptive_avg_pool_last, "max": adaptive_max_pool_last}
 
 
 def brute_force_pool(x: np.ndarray, target: int, mode: str) -> np.ndarray:
@@ -30,33 +38,38 @@ class TestAdaptivePool1d:
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_identity_when_target_equals_input(self, mode):
         x = RNG.standard_normal((3, 6))
-        out = adaptive_pool_1d(Tensor(x), 6, mode)
+        out = POOLS[mode](Tensor(x), 6)
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_arithmetic(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4))
-        np.testing.assert_array_equal(adaptive_pool_1d(x, 2, "avg").data, [[1.5, 3.5]])
-        np.testing.assert_array_equal(adaptive_pool_1d(x, 2, "max").data, [[2.0, 4.0]])
+        np.testing.assert_array_equal(adaptive_avg_pool_last(x, 2).data, [[1.5, 3.5]])
+        np.testing.assert_array_equal(adaptive_max_pool_last(x, 2).data, [[2.0, 4.0]])
 
     def test_seven_to_three_windows(self):
         x = Tensor(np.arange(7.0).reshape(1, 7))
-        np.testing.assert_array_equal(adaptive_pool_1d(x, 3, "avg").data, [[1.0, 3.0, 5.0]])
-        np.testing.assert_array_equal(adaptive_pool_1d(x, 3, "max").data, [[2.0, 4.0, 6.0]])
+        np.testing.assert_array_equal(adaptive_avg_pool_last(x, 3).data, [[1.0, 3.0, 5.0]])
+        np.testing.assert_array_equal(adaptive_max_pool_last(x, 3).data, [[2.0, 4.0, 6.0]])
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_window_enumeration_oracle_sweep(self, mode):
         for in_size in range(1, 17):
             x = RNG.standard_normal((2, in_size))
             for target in range(1, in_size + 1):
-                got = adaptive_pool_1d(Tensor(x), target, mode).data
+                got = POOLS[mode](Tensor(x), target).data
                 np.testing.assert_array_equal(got, brute_force_pool(x, target, mode))
 
     def test_invalid_targets_rejected(self):
-        x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
-            adaptive_pool_1d(x, 5, "avg")
+            adaptive_avg_pool_last(Tensor(np.zeros((2, 4))), 0)
         with pytest.raises(ShapeError):
-            adaptive_pool_1d(x, 0, "max")
+            adaptive_max_pool_last(Tensor(np.zeros((2, 4))), 0)
+        # fuse_pool, the production caller, also rejects targets above E
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            fuse_pool(x, 5)
+        with pytest.raises(ShapeError):
+            fuse_pool(x, 0)
 
 
 class TestFusePool:
@@ -87,8 +100,8 @@ class TestFusePool:
         target = 4
 
         def two_axes(mode):
-            pooled = adaptive_pool_1d(Tensor(x).transpose_last2(), target, mode).transpose_last2()
-            return adaptive_pool_1d(pooled, target, mode).data
+            pooled = POOLS[mode](Tensor(x).transpose_last2(), target).transpose_last2()
+            return POOLS[mode](pooled, target).data
 
         np.testing.assert_array_equal(fuse_pool(Tensor(x), target).data, two_axes("avg") + two_axes("max"))
 

@@ -59,13 +59,13 @@ class TestMatmul:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(rand(3, 4, 2), requires_grad=True)
-        x.sum().backward()
+        backward(x.sum())
         np.testing.assert_array_equal(x.grad, np.ones((3, 4, 2)))
 
     def test_half_square_gives_x(self):
         data = rand(5, 3)
         x = Tensor(data, requires_grad=True)
-        ((x * x).sum() * 0.5).backward()
+        backward((x * x).sum() * 0.5)
         np.testing.assert_allclose(x.grad, data, rtol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -84,19 +84,19 @@ class TestBackward:
 
         a, b = 1.7, -0.4
         x1 = Tensor(data, requires_grad=True)
-        (f(x1) * a + g(x1) * b).backward()
+        backward(f(x1) * a + g(x1) * b)
         x2 = Tensor(data, requires_grad=True)
-        f(x2).backward()
+        backward(f(x2))
         gf = x2.grad.copy()
         x3 = Tensor(data, requires_grad=True)
-        g(x3).backward()
+        backward(g(x3))
         gg = x3.grad.copy()
         np.testing.assert_allclose(x1.grad, a * gf + b * gg, rtol=1e-12)
 
     def test_shared_subexpression_accumulates_once_per_use(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         y = x * 2.0
-        (y * y).sum().backward()
+        backward((y * y).sum())
         np.testing.assert_allclose(x.grad, [24.0])
 
     def test_unreachable_parameter_gets_zero_gradient(self):
@@ -128,11 +128,8 @@ PRIMITIVE_CASES = [
     ("sum_keepdims", lambda a: a.sum(axis=-1, keepdims=True), lambda: [rand(3, 4)]),
     ("mean_all", lambda a: a.mean() * Tensor(1.0), lambda: [rand(3, 4)]),
     ("mean_axis", lambda a: a.mean(axis=1, keepdims=True), lambda: [rand(3, 4, 2)]),
-    ("max_axis", lambda a: a.max(axis=1), lambda: [rand(3, 7)]),
     ("exp", lambda a: a.exp(), lambda: [rand(3, 4)]),
     ("sqrt", lambda a: a.sqrt(), lambda: [rand(3, 4, lo=0.5, hi=2.0)]),
-    ("erf", lambda a: a.erf(), lambda: [rand(3, 4)]),
-    ("sigmoid", lambda a: a.sigmoid(), lambda: [rand(3, 4)]),
     ("silu", lambda a: a.silu(), lambda: [rand(3, 4)]),
     ("gelu", lambda a: a.gelu(), lambda: [rand(3, 4)]),
     ("softplus", lambda a: a.softplus(), lambda: [rand(3, 4)]),
@@ -142,6 +139,7 @@ PRIMITIVE_CASES = [
     ("adaptive_avg_pool", lambda a: adaptive_avg_pool_last(a, 3), lambda: [rand(2, 7)]),
     ("adaptive_max_pool", lambda a: adaptive_max_pool_last(a, 3), lambda: [rand(2, 7)]),
     ("adaptive_avg_pool_upsample", lambda a: adaptive_avg_pool_last(a, 8), lambda: [rand(2, 5)]),
+    ("adaptive_max_pool_upsample", lambda a: adaptive_max_pool_last(a, 8), lambda: [rand(2, 5)]),
 ]
 
 
@@ -157,14 +155,9 @@ def test_primitives_finite_on_finite_inputs(name, op, make):
 
 
 class TestReductionsAndRouting:
-    def test_max_routes_to_first_maximal_element(self):
-        x = Tensor(np.array([[1.0, 5.0, 5.0, 2.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0]])
-
     def test_max_pool_tie_routes_to_first(self):
         x = Tensor(np.array([[2.0, 2.0, 1.0, 1.0]]), requires_grad=True)
-        adaptive_max_pool_last(x, 1).sum().backward()
+        backward(adaptive_max_pool_last(x, 1).sum())
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0]])
 
 
@@ -245,7 +238,7 @@ class TestDeterminism:
         def run():
             x = Tensor(data, requires_grad=True)
             y = softmax_last(matmul(x, x).gelu()).sum()
-            y.backward()
+            backward(y)
             return x.grad
 
         g1, g2 = run(), run()
