@@ -1,8 +1,9 @@
 """Multivariate time-series forecasting toolkit.
 
-Pooled attention (adaptive avg+max pooling of query/key down to a fixed
-quarter-scale score matrix) fused elementwise with the output of a
-bidirectional selective state-space block, trained with Adam on MSE.
+Pooled attention (one fused tape node sums adaptive avg and max pooling
+of query/key down to a fixed quarter-scale score matrix) fused
+elementwise with the output of a bidirectional selective state-space
+block, trained with Adam on MSE.
 """
 
 from .tensor_core import Tensor

@@ -84,6 +84,10 @@ def load_csv(path) -> RawSeries:
     width = len(rows[0]) - first_col
     if width < 1:
         raise DataError(f"{path}: no numeric columns")
+    if names is not None and len(names) != width:
+        raise RaggedRowError(
+            f"{path}: header has {len(names)} column names, data rows have {width} values"
+        )
     out = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) - first_col != width:
@@ -256,24 +260,13 @@ def fit_apply_scaler(ds: SplitDataset) -> SplitDataset:
 
 @dataclass
 class SyntheticSpec:
-    """Sum-of-sinusoids generator settings; JSON keys match field names."""
+    """Sum-of-sinusoids generator settings."""
 
     n_variates: int = 8
     timesteps: int = 2000
     frequencies: tuple = (0.005, 0.01, 0.02)   # cycles per timestep
     noise_std: float = 0.05
     seed: int = 2024
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticSpec":
-        known = {"n_variates", "timesteps", "frequencies", "noise_std", "seed"}
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown synthetic keys {sorted(unknown)}")
-        spec = SyntheticSpec(**{k: v for k, v in d.items()})
-        if spec.n_variates < 1 or spec.timesteps < 2 or not spec.frequencies:
-            raise DataError("synthetic spec needs n_variates >= 1, timesteps >= 2, frequencies")
-        return spec
 
 
 def generate_synthetic(spec: SyntheticSpec) -> RawSeries:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,11 @@ class ConfigError(ValueError):
     """A configuration value violates a documented constraint."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed: bad magic, cut short, bytes after the
+    last record, or a tensor name given twice."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; every field is validated up front."""
@@ -40,12 +45,13 @@ class ModelConfig:
     precision: str = "32"
 
     def __post_init__(self):
+        for name in ("n_variates", "lookback", "horizon", "embed_dim", "expansion",
+                     "conv_width", "state_dim"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ConfigError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
-        for name in ("n_variates", "lookback", "horizon", "expansion", "conv_width", "state_dim"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.lookback < 2:
             raise ConfigError(f"lookback must be >= 2 for instance statistics, got {self.lookback}")
         if self.bidirectional_variant not in BIDIRECTIONAL_VARIANTS:
@@ -65,9 +71,14 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a mapping of keys to values, got {d!r}")
         unknown = set(d) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        missing = [f.name for f in fields(ModelConfig) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing config keys {missing}")
         return ModelConfig(**d)
 
 
@@ -177,22 +188,53 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]) -
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """Read a container written by ``save_checkpoint``.
+
+    Raises CheckpointError when the file has a bad magic, is cut short,
+    has bytes after the last record or names a tensor twice, and
+    ConfigError when its config record is not a valid ModelConfig.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config = ModelConfig.from_dict(json.loads(fh.read(config_len).decode()))
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
-            data = np.frombuffer(fh.read(n_bytes), dtype="<f4").reshape(shape)
-            tensors[name] = data.copy()
+        blob = memoryview(fh.read())   # slices below share its buffer
+    pos = 0
+
+    def take(n_bytes: int) -> memoryview:
+        nonlocal pos
+        if pos + n_bytes > len(blob):
+            raise CheckpointError(f"{path}: file cut short: needs {pos + n_bytes} bytes, has {len(blob)}")
+        pos += n_bytes
+        return blob[pos - n_bytes:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    magic = bytes(blob[:len(CHECKPOINT_MAGIC)])
+    if magic != CHECKPOINT_MAGIC[:len(magic)]:   # a prefix of the magic is a cut-short file
+        raise CheckpointError(f"{path}: not a checkpoint file: bad magic {magic!r}")
+    take(len(CHECKPOINT_MAGIC))
+    (config_len,) = unpack("<I")
+    config_blob = take(config_len)
+    try:
+        config_dict = json.loads(bytes(config_blob).decode())
+    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError alike
+        raise CheckpointError(f"{path}: config record is not UTF-8 JSON: {exc}") from None
+    config = ModelConfig.from_dict(config_dict)
+    (count,) = unpack("<I")
+    tensors: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (name_len,) = unpack("<H")
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor {i} name is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor name {name!r} appears twice")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        n_bytes = 4 * int(np.prod(shape, dtype=np.int64))
+        tensors[name] = np.frombuffer(take(n_bytes), dtype="<f4").reshape(shape).copy()
+    if pos != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last tensor record")
     return config, tensors
 
 

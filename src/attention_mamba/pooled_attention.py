@@ -1,10 +1,11 @@
 """Pooled attention: quarter-scale fused pooling of query/key.
 
-Query and Key ([B, N, E]) are compressed over their last two axes to
-[B, E/4, E/4] by summing adaptive average and adaptive max pooling, pushed
-through exact GeLU, multiplied into a score matrix whose cost is
-independent of the variate count N, then softmaxed and projected back to
-[B, N, E] by two per-axis recovery maps.
+Query and Key ([B, N, E]) are each compressed to [B, E/4, E/4] by
+``fuse_pool``, one tape node that sums adaptive average and adaptive max
+pooling of N rows into E/4 windows and of E columns into groups of 4. The
+pooled matrices are pushed through exact GeLU and multiplied into a score
+matrix whose cost is independent of the variate count N, then softmaxed
+and projected back to [B, N, E] by two per-axis recovery maps.
 """
 
 from __future__ import annotations
@@ -14,43 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import (
-    ShapeError,
-    Tensor,
-    adaptive_avg_pool_last,
-    adaptive_max_pool_last,
-    count_macs,
-    matmul,
-    softmax_last,
-)
-
-
-def _pool_two_axes(x: Tensor, target: int, pool) -> Tensor:
-    """Pool axis -2 then axis -1, each to `target`, with one pooling op.
-
-    The token axis (-2) may be smaller than the target; the adaptive
-    window rule still yields width >= 1 windows there, so the output is
-    always [..., target, target].
-    """
-    pooled_tokens = pool(x.transpose_last2(), target).transpose_last2()
-    return pool(pooled_tokens, target)
-
-
-def fuse_pool(x: Tensor, target: int) -> Tensor:
-    """Sum of average-pooled and max-pooled compressions of the last two axes.
-
-    x is [B, N, E]; the result is [B, target, target] with target = E/4 in
-    the attention block.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"fuse_pool expects [B, N, E], got {x.data.shape}")
-    if target < 1 or target > x.data.shape[-1]:
-        raise ShapeError(
-            f"fuse_pool target must satisfy 1 <= target <= {x.data.shape[-1]}, got {target}"
-        )
-    avg = _pool_two_axes(x, target, adaptive_avg_pool_last)
-    mx = _pool_two_axes(x, target, adaptive_max_pool_last)
-    return avg + mx
+from .tensor_core import ShapeError, Tensor, count_macs, fuse_pool, matmul, softmax_last
 
 
 @dataclass
@@ -74,10 +39,6 @@ class PooledAttentionParams:
             recover_e=LinearLayer.init(quarter, embed_dim, rng, dtype),
             recover_n=LinearLayer.init(quarter, n_variates, rng, dtype),
         )
-
-    @property
-    def pool_target(self) -> int:
-        return self.q_proj.in_dim // 4
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -111,11 +72,10 @@ def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> tuple[T
     """
     if x_embed.data.ndim != 3:
         raise ShapeError(f"attention expects [B, N, E], got {x_embed.data.shape}")
-    target = params.pool_target
     q = linear(x_embed, params.q_proj)
     k = linear(x_embed, params.k_proj)
-    fused_q = fuse_pool(q, target)
-    fused_k = fuse_pool(k, target)
+    fused_q = fuse_pool(q)
+    fused_k = fuse_pool(k)
     pooled_q = fused_q.gelu()
     pooled_k = fused_k.gelu()
     with count_macs() as counter:

@@ -13,8 +13,11 @@ back over broadcast axes. Only leading-batch broadcasting is part of the
 documented contract, but the general rule is implemented because RevIN's
 [B, 1, N] statistics broadcast over the time axis.
 
-The selective scan is a single fused node (``selective_scan``) with a
-hand-written backward, not a chain of per-token elementwise nodes.
+Two ops are single fused nodes with hand-written backwards rather than
+chains of small nodes: the selective scan (``selective_scan``), and the
+adaptive average-plus-max pooling of query and key from [B, N, E] to
+[B, E/4, E/4] (``fuse_pool``), which gathers its windows with index
+arrays instead of looping over them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +43,7 @@ __all__ = [
     "affine",
     "conv1d_depthwise_causal",
     "selective_scan",
-    "adaptive_avg_pool_last",
-    "adaptive_max_pool_last",
+    "fuse_pool",
     "pool_window_bounds",
     "backward",
     "gradients",
@@ -665,44 +668,80 @@ def pool_window_bounds(in_size: int, out_size: int) -> list:
     ]
 
 
-def adaptive_avg_pool_last(x: Tensor, out_size: int) -> Tensor:
-    """Adaptive average pooling along the last axis."""
-    bounds = pool_window_bounds(x.data.shape[-1], out_size)
-    cols = [x.data[..., s:e].mean(axis=-1) for s, e in bounds]
-    out = _node(np.stack(cols, axis=-1), (x,))
-    if out.requires_grad:
-        shape = x.data.shape
-        def back(g):
-            gx = np.zeros(shape, dtype=g.dtype)
-            for i, (s, e) in enumerate(bounds):
-                gx[..., s:e] += g[..., i:i + 1] / (e - s)
-            _acc(x, gx)
-        out._backward = back
-    return out
+@lru_cache(maxsize=64)
+def _row_windows(n_rows: int, n_out: int) -> tuple:
+    """Index arrays for pooling n_rows rows into n_out adaptive windows: each
+    window's width, its rows padded to the widest window by repeating its
+    last row, and per level k the k-th window holding each row (n_out where
+    the row lies in k windows or fewer)."""
+    start, stop = np.array(pool_window_bounds(n_rows, n_out)).T
+    width = stop - start
+    padded = np.minimum(start[:, None] + np.arange(width.max()), stop[:, None] - 1)
+    rows = np.arange(n_rows)
+    first = np.searchsorted(stop, rows, side="right")
+    last = np.searchsorted(start, rows, side="right") - 1
+    levels = tuple(np.where(first + k <= last, first + k, n_out)
+                   for k in range(int((last - first).max()) + 1))
+    for shared in (width, padded, *levels):   # the cache hands them to every caller
+        shared.flags.writeable = False
+    return width, padded, levels
 
 
-def adaptive_max_pool_last(x: Tensor, out_size: int) -> Tensor:
-    """Adaptive max pooling along the last axis.
+def fuse_pool(x: Tensor) -> Tensor:
+    """Adaptive average plus adaptive max pooling of [B, N, E] to [B, E/4, E/4].
 
-    The gradient routes to the first maximal element of each window.
+    Output (i, j) pools the block of rows pool_window_bounds(N, E/4)[i]
+    (overlapping when N < E/4) and columns 4j..4j+3. Results and gradients
+    are bit-identical to pooling rows, then columns, one axis at a time: the
+    average is a mean of row-window means, the max gradient goes to the
+    block's first maximum with columns outermost, and the backward adds a
+    row's average terms in window order, then its max terms.
     """
-    bounds = pool_window_bounds(x.data.shape[-1], out_size)
-    cols = []
-    arg = []
-    for s, e in bounds:
-        window = x.data[..., s:e]
-        idx = np.argmax(window, axis=-1)
-        cols.append(np.take_along_axis(window, idx[..., None], axis=-1)[..., 0])
-        arg.append(idx + s)
-    out = _node(np.stack(cols, axis=-1), (x,))
+    if x.data.ndim != 3 or x.data.shape[1] < 1 or x.data.shape[2] < 4 or x.data.shape[2] % 4:
+        raise ShapeError(
+            f"fuse_pool expects [B, N, E] with N >= 1 and E a positive multiple of 4, "
+            f"got {x.data.shape}"
+        )
+    batch, n_rows, embed = x.data.shape
+    quarter = embed // 4
+    width, padded, levels = _row_windows(n_rows, quarter)
+    cols_first = np.ascontiguousarray(x.data.swapaxes(1, 2))        # [B, E, N]
+
+    # np.take returns C-contiguous windows, so mean() sums each one in the
+    # same pairwise order as a slice; adaptive windows have at most two widths
+    row_means = np.empty((batch, embed, quarter), x.data.dtype)
+    for w in np.unique(width):
+        ids = np.flatnonzero(width == w)
+        row_means[..., ids] = np.take(cols_first, padded[ids, :w], axis=-1).mean(axis=-1)
+    avg = np.ascontiguousarray(row_means.swapaxes(1, 2)).reshape(
+        batch, quarter, quarter, 4).mean(axis=-1)
+
+    # blocks [B, T_i, T_j, 4 * w]: block (i, j) column by column. A repeated
+    # last row comes after the original, so argmax still finds the first maximum.
+    block_cols = np.arange(embed).reshape(1, quarter, 4, 1)
+    blocks = x.data[:, padded[:, None, None, :], block_cols].reshape(batch, quarter, quarter, -1)
+    arg = blocks.argmax(axis=-1)
+    mx = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+
+    out = _node(avg + mx, (x,))
     if out.requires_grad:
-        shape = x.data.shape
+        col, row = np.divmod(arg, padded.shape[1])
+        win = np.arange(quarter)
+        # flat index into x of each block's first maximum
+        flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], row]) * embed
+                + 4 * win + col)
         def back(g):
-            gflat = np.zeros((int(np.prod(shape[:-1], dtype=np.int64)), shape[-1]), dtype=g.dtype)
-            rows = np.arange(gflat.shape[0])
-            for i in range(out_size):
-                np.add.at(gflat, (rows, arg[i].reshape(-1)), g[..., i].reshape(-1))
-            _acc(x, gflat.reshape(shape))
+            # one row per window; the zero row `quarter` is the level index
+            # of a row that lies in fewer windows than the level
+            per_window = np.zeros((batch, quarter + 1, embed), g.dtype)
+            np.divide(np.repeat(g / 4, 4, axis=-1), width.astype(g.dtype)[:, None],
+                      out=per_window[:, :quarter])
+            gx = np.take(per_window, levels[0], axis=1)
+            for level in levels[1:]:
+                gx += np.take(per_window, level, axis=1)
+            g_max = np.zeros(x.data.size, g.dtype)
+            np.add.at(g_max, flat.ravel(), g.ravel())
+            _acc(x, gx + g_max.reshape(x.data.shape))
         out._backward = back
     return out
 

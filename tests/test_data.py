@@ -48,6 +48,14 @@ class TestLoadCsv:
         with pytest.raises(RaggedRowError, match="row 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["a,b,c\n1.0,2.0\n3.0,4.0\n",
+                                      "t,a\n2016-07-01,1.0,2.0\n2016-07-02,3.0,4.0\n"])
+    def test_header_width_must_match_rows(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(RaggedRowError, match=r"header has \d column names, data rows have 2 values"):
+            load_csv(p)
+
     def test_non_numeric_cell_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1.0,2.0\n3.0,oops\n")
@@ -200,15 +208,3 @@ class TestSynthetic:
         assert np.array_equal(a, b)
         c = generate_synthetic(SyntheticSpec(seed=8, timesteps=64)).values
         assert not np.array_equal(a, c)
-
-    def test_json_keys(self):
-        spec = SyntheticSpec.from_dict(
-            {"n_variates": 3, "timesteps": 100, "frequencies": [0.01], "noise_std": 0.0, "seed": 1}
-        )
-        assert spec.n_variates == 3
-        series = generate_synthetic(spec)
-        assert np.all(np.isfinite(series.values))
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(Exception):
-            SyntheticSpec.from_dict({"variates": 3})

@@ -1,5 +1,8 @@
 import gc
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from attention_mamba.layers import LinearLayer
 from attention_mamba.model import (
     AttentionMambaModel,
+    CheckpointError,
     ConfigError,
     ModelConfig,
     load_checkpoint,
@@ -54,6 +58,43 @@ class TestConfig:
         d = TINY.to_dict() | {"dropout": 0.1, "heads": 4}
         with pytest.raises(ConfigError, match=r"\['dropout', 'heads'\]"):
             ModelConfig.from_dict(d)
+
+
+    def test_missing_key_named(self):
+        with pytest.raises(ConfigError, match="embed_dim"):
+            ModelConfig.from_dict({"n_variates": 3, "lookback": 8, "horizon": 4})
+
+    @pytest.mark.parametrize("key,value", [("embed_dim", "8"), ("n_variates", True),
+                                           ("lookback", 8.0), ("precision", 64)])
+    def test_wrong_value_type_named(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict(TINY.to_dict() | {key: value})
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            ModelConfig.from_dict(["n_variates", "lookback"])
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda d: {k: v for k, v in d.items() if k != "embed_dim"}, "embed_dim"),
+        (lambda d: d | {"embed_dim": "8"}, "embed_dim"),
+        (lambda d: d | {"n_variates": True}, "n_variates"),
+    ], ids=["missing", "string", "bool"])
+    def test_bad_checkpoint_config_named(self, tmp_path, edit, key):
+        path = tmp_path / "model.ckpt"
+        save_model(path, tiny_model())
+        rewrite_config(path, edit)
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+
+def rewrite_config(path, edit):
+    """Replace a checkpoint's config record with edit(config dict)."""
+    blob = path.read_bytes()
+    start = len(b"ATTNMAMBA1")
+    (length,) = struct.unpack("<I", blob[start:start + 4])
+    config = json.loads(blob[start + 4:start + 4 + length])
+    new = json.dumps(edit(config)).encode()
+    path.write_bytes(blob[:start] + struct.pack("<I", len(new)) + new + blob[start + 4 + length:])
 
 
 class TestForward:
@@ -212,7 +253,7 @@ class TestCheckpoint:
         assert path.read_bytes()[:10] == b"ATTNMAMBA1"
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOTAMODEL!" + path.read_bytes()[10:])
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(bad)
 
     def test_extra_colliding_with_parameter_rejected(self, tmp_path):
@@ -239,3 +280,62 @@ class TestCheckpoint:
         save_model(path, model)
         loaded, _ = load_model(path)
         np.testing.assert_array_equal(model.forward(x)[0].data, loaded.forward(x)[0].data)
+
+
+SMALL_TENSORS = {"a": np.arange(6.0).reshape(2, 3), "scalar": np.float64(2.5), "b": np.ones(4)}
+
+
+class TestCheckpointErrors:
+    def small_checkpoint(self, tmp_path):
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(path, TINY, SMALL_TENSORS)
+        return path
+
+    def test_v1_bytes_unchanged(self, tmp_path):
+        blob = self.small_checkpoint(tmp_path).read_bytes()
+        assert len(blob) == 251
+        assert hashlib.sha256(blob).hexdigest() == \
+            "207dfaaa72e8446c4cba45852cedeb2566870ad17118620e0d7fcfe09e9fd021"
+        config, tensors = load_checkpoint(tmp_path / "small.ckpt")
+        assert config == TINY
+        assert list(tensors) == ["a", "scalar", "b"]
+        np.testing.assert_array_equal(tensors["scalar"], np.float32(2.5))
+
+    def test_file_cut_short_anywhere_rejected(self, tmp_path):
+        blob = self.small_checkpoint(tmp_path).read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(CheckpointError, match="cut short"):
+                load_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="1 bytes after the last tensor record"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        # records "a" and "b" have one-byte names; rename "b" to "a"
+        at = blob.rindex(struct.pack("<H", 1) + b"b")
+        path.write_bytes(blob[:at + 2] + b"a" + blob[at + 3:])
+        with pytest.raises(CheckpointError, match="'a' appears twice"):
+            load_checkpoint(path)
+
+    def test_tensor_name_not_utf8_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        at = blob.rindex(struct.pack("<H", 1) + b"b")
+        path.write_bytes(blob[:at + 2] + b"\xff" + blob[at + 3:])
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_config_record_not_json_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[14] = 0xFF     # first byte of the config JSON
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="config record"):
+            load_checkpoint(path)

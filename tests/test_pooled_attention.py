@@ -7,108 +7,121 @@ from attention_mamba.pooled_attention import (
     attention_weights,
     fuse_pool,
 )
-from attention_mamba.tensor_core import (
-    ShapeError,
-    Tensor,
-    adaptive_avg_pool_last,
-    adaptive_max_pool_last,
-    gradients,
-    softmax_last,
-)
+from attention_mamba.tensor_core import ShapeError, Tensor, backward, gradients, softmax_last
 from helpers import numerical_grad, rel_error
 
 RNG = np.random.default_rng(23)
 
-POOLS = {"avg": adaptive_avg_pool_last, "max": adaptive_max_pool_last}
+
+def windows(in_size: int, target: int) -> list:
+    """Adaptive windows [floor(i*I/O), ceil((i+1)*I/O)), written out afresh."""
+    return [(int(np.floor(i * in_size / target)), int(np.ceil((i + 1) * in_size / target)))
+            for i in range(target)]
 
 
 def brute_force_pool(x: np.ndarray, target: int, mode: str) -> np.ndarray:
     """Window-enumeration oracle over the last axis."""
-    in_size = x.shape[-1]
     cols = []
-    for i in range(target):
-        start = int(np.floor(i * in_size / target))
-        end = int(np.ceil((i + 1) * in_size / target))
+    for start, end in windows(x.shape[-1], target):
         window = x[..., start:end]
         cols.append(window.mean(axis=-1) if mode == "avg" else window.max(axis=-1))
     return np.stack(cols, axis=-1)
 
 
-class TestAdaptivePool1d:
-    @pytest.mark.parametrize("mode", ["avg", "max"])
-    def test_identity_when_target_equals_input(self, mode):
-        x = RNG.standard_normal((3, 6))
-        out = POOLS[mode](Tensor(x), 6)
-        np.testing.assert_array_equal(out.data, x)
+def two_axes(x: np.ndarray, mode: str) -> np.ndarray:
+    """Pool [B, N, E] rows, then columns, to E/4 each, one axis at a time."""
+    quarter = x.shape[-1] // 4
+    rows = brute_force_pool(np.ascontiguousarray(x.swapaxes(-1, -2)), quarter, mode)
+    return brute_force_pool(np.ascontiguousarray(rows.swapaxes(-1, -2)), quarter, mode)
 
-    def test_hand_arithmetic(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4))
-        np.testing.assert_array_equal(adaptive_avg_pool_last(x, 2).data, [[1.5, 3.5]])
-        np.testing.assert_array_equal(adaptive_max_pool_last(x, 2).data, [[2.0, 4.0]])
 
-    def test_seven_to_three_windows(self):
-        x = Tensor(np.arange(7.0).reshape(1, 7))
-        np.testing.assert_array_equal(adaptive_avg_pool_last(x, 3).data, [[1.0, 3.0, 5.0]])
-        np.testing.assert_array_equal(adaptive_max_pool_last(x, 3).data, [[2.0, 4.0, 6.0]])
+def fuse_pool_grad_oracle(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum(fuse_pool(x) * g), window by window.
 
-    @pytest.mark.parametrize("mode", ["avg", "max"])
-    def test_window_enumeration_oracle_sweep(self, mode):
-        for in_size in range(1, 17):
-            x = RNG.standard_normal((2, in_size))
-            for target in range(1, in_size + 1):
-                got = POOLS[mode](Tensor(x), target).data
-                np.testing.assert_array_equal(got, brute_force_pool(x, target, mode))
-
-    def test_invalid_targets_rejected(self):
-        with pytest.raises(ShapeError):
-            adaptive_avg_pool_last(Tensor(np.zeros((2, 4))), 0)
-        with pytest.raises(ShapeError):
-            adaptive_max_pool_last(Tensor(np.zeros((2, 4))), 0)
-        # fuse_pool, the production caller, also rejects targets above E
-        x = Tensor(np.zeros((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            fuse_pool(x, 5)
-        with pytest.raises(ShapeError):
-            fuse_pool(x, 0)
+    The average and max parts are summed apart, each window in order, and
+    added at the end. Max routes to a block's first maximal element with
+    columns as the outer axis.
+    """
+    batch, n_rows, embed = x.shape
+    avg = np.zeros_like(x)
+    mx = np.zeros_like(x)
+    for i, (start, end) in enumerate(windows(n_rows, embed // 4)):
+        for j in range(embed // 4):
+            cols = slice(4 * j, 4 * j + 4)
+            avg[:, start:end, cols] += (g[:, i, j] / 4 / (end - start))[:, None, None]
+            for b in range(batch):
+                col, row = divmod(int(x[b, start:end, cols].T.argmax()), end - start)
+                mx[b, start + row, 4 * j + col] += g[b, i, j]
+    return avg + mx
 
 
 class TestFusePool:
     def test_constant_input_gives_twice_constant(self):
         x = Tensor(np.full((2, 4, 8), 3.5))
-        out = fuse_pool(x, 2)
+        out = fuse_pool(x)
         np.testing.assert_allclose(out.data, 7.0, rtol=1e-12)
         assert out.data.shape == (2, 2, 2)
 
     def test_zero_input_gives_zero(self):
-        out = fuse_pool(Tensor(np.zeros((1, 5, 8))), 2)
+        out = fuse_pool(Tensor(np.zeros((1, 5, 8))))
         np.testing.assert_array_equal(out.data, np.zeros((1, 2, 2)))
 
     def test_axis_composition_oracle(self):
         # ramp input, B=1, N=4, E=8: must equal per-axis 1-d pooling composed
         x = np.arange(32.0).reshape(1, 4, 8)
-        target = 2
-
-        def compose(mode):
-            first = brute_force_pool(x.swapaxes(-1, -2), target, mode).swapaxes(-1, -2)
-            return brute_force_pool(first, target, mode)
-
-        got = fuse_pool(Tensor(x), target).data
-        np.testing.assert_array_equal(got, compose("avg") + compose("max"))
+        got = fuse_pool(Tensor(x)).data
+        np.testing.assert_array_equal(got, two_axes(x, "avg") + two_axes(x, "max"))
 
     def test_fuse_equals_avg_plus_max_exactly(self):
-        x = RNG.standard_normal((3, 12, 16))
-        target = 4
+        # the bench shapes: row windows of width 1-2 (N=21) and 11-12 (N=321)
+        for n_rows in (21, 321):
+            x = RNG.standard_normal((2, n_rows, 128)).astype(np.float32)
+            out = fuse_pool(Tensor(x)).data
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out, two_axes(x, "avg") + two_axes(x, "max"))
 
-        def two_axes(mode):
-            pooled = POOLS[mode](Tensor(x).transpose_last2(), target).transpose_last2()
-            return POOLS[mode](pooled, target).data
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_window_oracle_sweep(self, dtype):
+        # rows pooled down (N > E/4), passed through (N = E/4) and overlapping (N < E/4)
+        for n_rows in range(1, 17):
+            for embed in (4, 8, 16, 32):
+                x = RNG.standard_normal((2, n_rows, embed)).astype(dtype)
+                got = fuse_pool(Tensor(x)).data
+                np.testing.assert_array_equal(got, two_axes(x, "avg") + two_axes(x, "max"))
 
-        np.testing.assert_array_equal(fuse_pool(Tensor(x), target).data, two_axes("avg") + two_axes("max"))
+    def test_seven_rows_to_three_windows(self):
+        # rows 0-2, 2-4 and 4-6; every column holds its row index
+        x = np.repeat(np.arange(7.0)[None, :, None], 12, axis=2)
+        np.testing.assert_array_equal(fuse_pool(Tensor(x)).data[0, :, 0], [1.0 + 2.0, 3.0 + 4.0, 5.0 + 6.0])
 
     def test_token_axis_smaller_than_target(self):
         # 7 tokens pooled "down" to 8: windows overlap, output still 8x8
-        out = fuse_pool(Tensor(RNG.standard_normal((2, 7, 32))), 8)
+        out = fuse_pool(Tensor(RNG.standard_normal((2, 7, 32))))
         assert out.data.shape == (2, 8, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_gradient_matches_window_oracle(self, dtype):
+        # rows pooled down, then rows in up to 2, 3 (weather's N=21, E=128) and 8 windows
+        for shape in ((2, 21, 32), (3, 12, 16), (1, 16, 4), (2, 7, 32), (2, 21, 128), (1, 3, 32), (2, 1, 32)):
+            g = RNG.standard_normal((shape[0], shape[2] // 4, shape[2] // 4)).astype(dtype)
+            # continuous values, then small integers: ties across rows and columns
+            for x in (RNG.standard_normal(shape), RNG.integers(-1, 2, shape)):
+                x = x.astype(dtype)
+                leaf = Tensor(x, requires_grad=True)
+                backward((fuse_pool(leaf) * Tensor(g)).sum())
+                assert leaf.grad.dtype == dtype
+                assert np.array_equal(leaf.grad, fuse_pool_grad_oracle(x, g)), shape
+
+    def test_one_tape_node_whatever_the_length(self):
+        for n_rows in (1, 7, 40):
+            leaf = Tensor(RNG.standard_normal((2, n_rows, 32)), requires_grad=True)
+            assert fuse_pool(leaf)._prev == (leaf,)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (1, 2, 3, 8), (2, 3, 6), (2, 3, 2), (2, 3, 0), (2, 0, 8)],
+                             ids=["2d", "4d", "e6", "e2", "e0", "n0"])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ShapeError, match="fuse_pool"):
+            fuse_pool(Tensor(np.zeros(shape)))
 
 
 def make_params(n_variates, embed_dim, dtype=np.float64, seed=0):

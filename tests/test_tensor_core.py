@@ -5,13 +5,12 @@ from attention_mamba.tensor_core import (
     MacCounter,
     ShapeError,
     Tensor,
-    adaptive_avg_pool_last,
-    adaptive_max_pool_last,
     affine,
     backward,
     concatenate,
     conv1d_depthwise_causal,
     count_macs,
+    fuse_pool,
     gradients,
     matmul,
     pool_window_bounds,
@@ -136,10 +135,8 @@ PRIMITIVE_CASES = [
     ("softmax_last", softmax_last, lambda: [rand(3, 5)]),
     ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
     ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 3, 6), rand(3, 3), rand(3)]),
-    ("adaptive_avg_pool", lambda a: adaptive_avg_pool_last(a, 3), lambda: [rand(2, 7)]),
-    ("adaptive_max_pool", lambda a: adaptive_max_pool_last(a, 3), lambda: [rand(2, 7)]),
-    ("adaptive_avg_pool_upsample", lambda a: adaptive_avg_pool_last(a, 8), lambda: [rand(2, 5)]),
-    ("adaptive_max_pool_upsample", lambda a: adaptive_max_pool_last(a, 8), lambda: [rand(2, 5)]),
+    ("fuse_pool", fuse_pool, lambda: [rand(2, 9, 12)]),            # 9 rows to 3 windows
+    ("fuse_pool_upsample", fuse_pool, lambda: [rand(2, 3, 20)]),   # 3 rows to 5 windows
 ]
 
 
@@ -156,9 +153,17 @@ def test_primitives_finite_on_finite_inputs(name, op, make):
 
 class TestReductionsAndRouting:
     def test_max_pool_tie_routes_to_first(self):
-        x = Tensor(np.array([[2.0, 2.0, 1.0, 1.0]]), requires_grad=True)
-        backward(adaptive_max_pool_last(x, 1).sum())
-        np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0]])
+        # one 1x4 block: the average spreads 1/4, the max goes to the first 2
+        x = Tensor(np.array([[[2.0, 2.0, 1.0, 1.0]]]), requires_grad=True)
+        backward(fuse_pool(x).sum())
+        np.testing.assert_array_equal(x.grad, [[[1.25, 0.25, 0.25, 0.25]]])
+        # one 2x4 block, maxima at (row 0, col 2) and (row 1, col 1): columns
+        # are the outer axis, so the lower column wins
+        x = Tensor(np.array([[[0.0, 0.0, 2.0, 0.0], [0.0, 2.0, 0.0, 0.0]]]), requires_grad=True)
+        backward(fuse_pool(x).sum())
+        expected = np.full((1, 2, 4), 0.125)
+        expected[0, 1, 1] += 1.0
+        np.testing.assert_array_equal(x.grad, expected)
 
 
 class TestInvariants:
@@ -189,14 +194,16 @@ class TestPoolWindows:
         assert pool_window_bounds(7, 3) == [(0, 3), (2, 5), (4, 7)]
 
     def test_identity_when_sizes_match(self):
-        x = rand(2, 6)
-        np.testing.assert_array_equal(adaptive_avg_pool_last(Tensor(x), 6).data, x)
-        np.testing.assert_array_equal(adaptive_max_pool_last(Tensor(x), 6).data, x)
+        # N = E/4 rows pool to themselves; equal columns in each group of 4
+        # make both the average and the max that column's value
+        x = RNG.integers(-8, 8, (2, 6, 6)).astype(np.float64)
+        out = fuse_pool(Tensor(np.repeat(x, 4, axis=2)))
+        np.testing.assert_array_equal(out.data, 2.0 * x)
 
     def test_hand_example(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        np.testing.assert_array_equal(adaptive_avg_pool_last(x, 2).data, [[1.5, 3.5]])
-        np.testing.assert_array_equal(adaptive_max_pool_last(x, 2).data, [[2.0, 4.0]])
+        # two rows to two windows, columns in groups of 4: mean + max per group
+        x = Tensor(np.arange(16.0).reshape(1, 2, 8))
+        np.testing.assert_array_equal(fuse_pool(x).data, [[[1.5 + 3.0, 5.5 + 7.0], [9.5 + 11.0, 13.5 + 15.0]]])
 
     def test_upsampling_windows_cover_input(self):
         bounds = pool_window_bounds(7, 8)
