@@ -35,6 +35,26 @@ def two_axes(x: np.ndarray, mode: str) -> np.ndarray:
     return brute_force_pool(np.ascontiguousarray(rows.swapaxes(-1, -2)), quarter, mode)
 
 
+def max_half_input(z: np.ndarray) -> np.ndarray:
+    """[B, N, E/2] to [B, N, E] with each group of 4 columns (a, -a, b, -b).
+
+    Each row window's mean of -a is exactly minus its mean of a, so the
+    average half of fuse_pool is exactly 0 and the output is the max half.
+    """
+    return np.stack([z, -z], axis=-1).reshape(*z.shape[:-1], 2 * z.shape[-1])
+
+
+def avg_half_input(z: np.ndarray) -> np.ndarray:
+    """-|z| with the last column of each group of 4 set to 0.
+
+    Every block's maximum is that 0, so the max half of fuse_pool is exactly
+    0 and the output is the average half.
+    """
+    x = -np.abs(z)
+    x[..., 3::4] = 0.0
+    return x
+
+
 def fuse_pool_grad_oracle(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(fuse_pool(x) * g), window by window.
 
@@ -53,6 +73,42 @@ def fuse_pool_grad_oracle(x: np.ndarray, g: np.ndarray) -> np.ndarray:
                 col, row = divmod(int(x[b, start:end, cols].T.argmax()), end - start)
                 mx[b, start + row, 4 * j + col] += g[b, i, j]
     return avg + mx
+
+
+class TestAdaptivePool1d:
+    """Each half of fuse_pool along the token axis, which pools adaptively
+    into E/4 windows; the inputs of max_half_input and avg_half_input make
+    the other half exactly 0."""
+
+    HALF_INPUT = {"avg": avg_half_input, "max": lambda z: max_half_input(z[..., ::2])}
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_identity_when_target_equals_input(self, mode):
+        # N = E/4: every row window is one row, so rows pass through and
+        # only the groups of 4 columns are pooled
+        x = self.HALF_INPUT[mode](RNG.standard_normal((3, 6, 24)))
+        groups = x.reshape(3, 6, 6, 4)
+        expected = groups.mean(axis=-1) if mode == "avg" else groups.max(axis=-1)
+        np.testing.assert_array_equal(fuse_pool(Tensor(x)).data, expected)
+
+    def test_hand_arithmetic(self):
+        # rows 1, 2, 3, 4 into the windows {1, 2} and {3, 4}
+        rows = np.array([1.0, 2.0, 3.0, 4.0])[None, :, None]
+        x = max_half_input(np.repeat(rows, 4, axis=2))
+        np.testing.assert_array_equal(fuse_pool(Tensor(x)).data, [[[2.0, 2.0], [4.0, 4.0]]])
+        # columns -r, -r, -r, 0: row means -1.5 and -3.5 in 3 of the 4 columns
+        x = avg_half_input(np.repeat(rows, 8, axis=2))
+        np.testing.assert_array_equal(fuse_pool(Tensor(x)).data,
+                                      [[[-1.125, -1.125], [-2.625, -2.625]]])
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_window_enumeration_oracle_sweep(self, mode):
+        # rows pooled down (N > E/4), passed through and overlapping (N < E/4)
+        for n_rows in range(1, 17):
+            for quarter in range(1, 17):
+                x = self.HALF_INPUT[mode](RNG.standard_normal((2, n_rows, 4 * quarter)))
+                got = fuse_pool(Tensor(x)).data
+                np.testing.assert_array_equal(got, two_axes(x, mode))
 
 
 class TestFusePool:

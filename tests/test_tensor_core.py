@@ -105,6 +105,20 @@ class TestBackward:
         np.testing.assert_array_equal(grads[1], np.zeros(3))
 
 
+def avg_half(a):
+    """fuse_pool with every block's maximum pinned to a constant 3 that a
+    never reaches, so only the average half's gradient flows into a."""
+    keep = np.ones(a.data.shape[-1])
+    keep[3::4] = 0.0
+    return fuse_pool(a * Tensor(keep) + Tensor(3.0 * (1.0 - keep)))
+
+
+def max_half(a):
+    """fuse_pool(a) + fuse_pool(-a): the average halves cancel, leaving each
+    block's max minus its min, so only the max routing reaches a."""
+    return fuse_pool(a) + fuse_pool(-a)
+
+
 # Every differentiable primitive, checked against central finite differences
 # at 64-bit on random inputs in [-2, 2] (positive inputs where required).
 PRIMITIVE_CASES = [
@@ -135,6 +149,10 @@ PRIMITIVE_CASES = [
     ("softmax_last", softmax_last, lambda: [rand(3, 5)]),
     ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
     ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 3, 6), rand(3, 3), rand(3)]),
+    ("adaptive_avg_pool", avg_half, lambda: [rand(2, 7, 12)]),             # 7 rows to 3 windows
+    ("adaptive_max_pool", max_half, lambda: [rand(2, 7, 12)]),
+    ("adaptive_avg_pool_upsample", avg_half, lambda: [rand(2, 5, 32)]),    # 5 rows to 8 windows
+    ("adaptive_max_pool_upsample", max_half, lambda: [rand(2, 5, 32)]),
     ("fuse_pool", fuse_pool, lambda: [rand(2, 9, 12)]),            # 9 rows to 3 windows
     ("fuse_pool_upsample", fuse_pool, lambda: [rand(2, 3, 20)]),   # 3 rows to 5 windows
 ]
