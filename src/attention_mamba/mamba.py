@@ -3,7 +3,9 @@
 One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
 the step size, input matrix and readout matrix of the recurrence, the
-selective scan itself, SiLU gating, and an output projection.
+selective scan itself, SiLU gating, and an output projection. Activations
+stay token-major from input to output: [B, N, C], with C = expansion * E
+channels, as the rest of the model lays out its tokens.
 
 The scan discretizes the continuous system with zero-order hold on the
 state matrix and an Euler step on the input: per channel c and token t,
@@ -123,18 +125,18 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     branch = slice_axis(proj, 2, 0, channels)
     gate = slice_axis(proj, 2, channels, 2 * channels)
 
-    u = conv1d_depthwise_causal(branch.transpose_last2(), p.conv_weight, p.conv_bias).silu()
+    u = conv1d_depthwise_causal(branch, p.conv_weight, p.conv_bias).silu()   # [B, N, C]
 
-    feats = linear(u.transpose_last2(), p.x_proj)        # [B, N, dt_rank + 2S]
+    feats = linear(u, p.x_proj)                          # [B, N, dt_rank + 2S]
     dt_pre = slice_axis(feats, 2, 0, dt_rank)
     b_ssm = slice_axis(feats, 2, dt_rank, dt_rank + state_dim)
     c_ssm = slice_axis(feats, 2, dt_rank + state_dim, dt_rank + 2 * state_dim)
 
-    delta = linear(dt_pre, p.dt_proj).softplus().transpose_last2()   # [B, C, N]
+    delta = linear(dt_pre, p.dt_proj).softplus()       # [B, N, C]
     a_mat = -(p.A_log.exp())
 
     scanned = selective_scan(u, delta, a_mat, b_ssm, c_ssm, p.D_skip)
-    gated = scanned.transpose_last2() * gate.silu()
+    gated = scanned * gate.silu()
     return linear(gated, p.out_proj)
 
 

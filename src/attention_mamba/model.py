@@ -6,6 +6,7 @@ the paired denormalization. Also the checkpoint container format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -27,7 +28,8 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed: bad magic, cut short, bytes after the
-    last record, or a tensor name given twice."""
+    last record, a tensor name given twice, or parameters that do not fit
+    the model its config describes."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Detached intermediates of one model forward pass."""
+    """Intermediates of one model forward pass: the forward's own arrays,
+    made read-only, not copies."""
 
     attention: AttentionTrace
     value: np.ndarray           # [B, N, E], bidirectional scan output
@@ -152,9 +155,9 @@ class AttentionMambaModel:
 
         horizon_first = linear(fused, self.head).transpose_last2()   # [B, T, N]
         yhat = self.revin.denormalize(horizon_first, state)
-        trace = ForwardTrace(attention=attn_trace, value=value.numpy(),
-                             weighted_value=fused.numpy())
-        return yhat, trace
+        for array in (value.data, fused.data):
+            array.flags.writeable = False
+        return yhat, ForwardTrace(attention=attn_trace, value=value.data, weighted_value=fused.data)
 
 
 def parameter_count(model: AttentionMambaModel) -> int:
@@ -231,7 +234,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: tensor name {name!r} appears twice")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
-        n_bytes = 4 * int(np.prod(shape, dtype=np.int64))
+        n_bytes = 4 * math.prod(shape)   # exact: extents up to 2**32-1 overflow int64
         tensors[name] = np.frombuffer(take(n_bytes), dtype="<f4").reshape(shape).copy()
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last tensor record")
@@ -262,7 +265,7 @@ def load_model(path) -> tuple[AttentionMambaModel, dict[str, np.ndarray]]:
     for name, array in tensors.items():
         if name in known:
             if known[name].data.shape != array.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint tensor {name} has shape {array.shape}, "
                     f"model expects {known[name].data.shape}"
                 )
@@ -271,5 +274,5 @@ def load_model(path) -> tuple[AttentionMambaModel, dict[str, np.ndarray]]:
             extras[name] = array
     missing = set(known) - set(tensors)
     if missing:
-        raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
+        raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)}")
     return model, extras

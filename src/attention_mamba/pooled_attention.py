@@ -51,7 +51,8 @@ class PooledAttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Detached intermediates of one pooled-attention forward pass."""
+    """Intermediates of one pooled-attention forward pass: the forward's own
+    arrays, made read-only, not copies."""
 
     query: np.ndarray        # [B, N, E]
     key: np.ndarray          # [B, N, E]
@@ -83,15 +84,7 @@ def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> tuple[T
     attn = softmax_last(scores)
     recovered = linear(attn, params.recover_e)                    # [B, E/4, E]
     weights = linear(recovered.transpose_last2(), params.recover_n).transpose_last2()
-    trace = AttentionTrace(
-        query=q.numpy(),
-        key=k.numpy(),
-        fused_query=fused_q.numpy(),
-        fused_key=fused_k.numpy(),
-        pooled_query=pooled_q.numpy(),
-        pooled_key=pooled_k.numpy(),
-        scores=scores.numpy(),
-        weights=weights.numpy(),
-        score_macs=counter.total,
-    )
-    return weights, trace
+    kept = [t.data for t in (q, k, fused_q, fused_k, pooled_q, pooled_k, scores, weights)]
+    for array in kept:
+        array.flags.writeable = False
+    return weights, AttentionTrace(*kept, score_macs=counter.total)

@@ -150,10 +150,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        """Detached copy of the underlying array."""
-        return self.data.copy()
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single element, got shape {self.data.shape}")
@@ -353,9 +349,10 @@ def _node(data: np.ndarray, parents: tuple) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:   # a copy: g may be, or share memory with, another gradient
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -507,25 +504,25 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel causal 1-D convolution.
+    """Per-channel causal 1-D convolution along the token axis.
 
-    x is [B, C, N], weight [C, K] with taps ordered oldest-to-newest, bias
-    [C]. The input is zero-padded on the left by K-1 so output t depends
-    only on inputs <= t.
+    x is [B, N, C], weight [C, K] with taps ordered oldest-to-newest, bias
+    [C]. The input is zero-padded in front by K-1 tokens so output t
+    depends only on inputs <= t.
     """
     if x.data.ndim != 3:
-        raise ShapeError(f"conv1d expects [B, C, N], got {x.data.shape}")
-    if weight.data.shape[0] != x.data.shape[1]:
+        raise ShapeError(f"conv1d expects [B, N, C], got {x.data.shape}")
+    if weight.data.shape[0] != x.data.shape[2]:
         raise ShapeError(
             f"conv1d channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}"
         )
-    batch, channels, n_seq = x.data.shape
+    batch, n_seq, channels = x.data.shape
     width = weight.data.shape[1]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (width - 1, 0)))
+    xp = np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0)))
     y = np.zeros_like(x.data)
     for k in range(width):
-        y += weight.data[:, k][None, :, None] * xp[:, :, k:k + n_seq]
-    y += bias.data[None, :, None]
+        y += weight.data[:, k] * xp[:, k:k + n_seq]
+    y += bias.data
     _add_macs(batch * channels * n_seq * width)
     out = _node(y, (x, weight, bias))
     if out.requires_grad:
@@ -533,15 +530,15 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             if x.requires_grad:
                 gxp = np.zeros_like(xp)
                 for k in range(width):
-                    gxp[:, :, k:k + n_seq] += weight.data[:, k][None, :, None] * g
-                _acc(x, gxp[:, :, width - 1:])
+                    gxp[:, k:k + n_seq] += weight.data[:, k] * g
+                _acc(x, gxp[:, width - 1:])
             if weight.requires_grad:
                 gw = np.empty_like(weight.data)
                 for k in range(width):
-                    gw[:, k] = np.einsum("bcn,bcn->c", g, xp[:, :, k:k + n_seq])
+                    gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
                 _acc(weight, gw)
             if bias.requires_grad:
-                _acc(bias, g.sum(axis=(0, 2)))
+                _acc(bias, g.sum(axis=(0, 1)))
         out._backward = back
     return out
 
@@ -550,21 +547,21 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
                    C_ssm: Tensor, D_skip: Tensor) -> Tensor:
     """Selective state-space recurrence over the token axis, as one tape node.
 
-    u, delta: [B, C, N]; A: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
+    u, delta: [B, N, C]; A: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
     Per token t, with h_{-1} = 0 and the products broadcast over [B, C, S]:
         h_t = exp(delta_t * A) * h_{t-1} + (delta_t * u_t) * B_t
         y_t = (h_t * C_t).sum(-1) + D * u_t
     delta must be strictly positive (and A negative) for a stable step.
 
-    The work is token-major, [N, B, C, S], in runs of tokens small enough
-    to stay in cache: each run builds its decays exp(delta_t * A) and
-    drives (delta_t * u_t) * B_t in bulk, then overwrites the drives in
-    place with the states. The node saves only the states h; the backward
+    Inside, the work runs on views with tokens leading, [N, B, C, S], in
+    runs of tokens small enough to stay in cache: each run builds its
+    decays exp(delta_t * A) and drives (delta_t * u_t) * B_t in bulk, then
+    overwrites the drives in place with the states. The node saves only the states h; the backward
     rebuilds each run's decays, runs the reverse recurrence
         dh_t = g_t * C_t + decay_{t+1} * dh_{t+1}
     and reads the gradients of all six inputs off dh and h in closed form.
     """
-    batch, channels, n_tokens = u.data.shape
+    batch, n_tokens, channels = u.data.shape
     state_dim = A.data.shape[1]
     if delta.data.shape != u.data.shape:
         raise ShapeError(f"delta shape {delta.data.shape} must match u {u.data.shape}")
@@ -578,8 +575,8 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     inputs = (u, delta, A, B_ssm, C_ssm, D_skip)
     dtype = np.result_type(*(t.data for t in inputs))
     a_mat = A.data
-    delta_n = delta.data.transpose(2, 0, 1)                  # [N, B, C] views
-    u_n = u.data.transpose(2, 0, 1)
+    delta_n = delta.data.transpose(1, 0, 2)                  # [N, B, C] views
+    u_n = u.data.transpose(1, 0, 2)
     b_n = B_ssm.data.transpose(1, 0, 2)[:, :, None, :]       # [N, B, 1, S]
     c_n = C_ssm.data.transpose(1, 0, 2)[:, :, None, :]
     delta_u = delta_n * u_n
@@ -603,10 +600,10 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
             np.add(step, h[t], out=h[t])
         np.multiply(h[lo:hi], c_n[lo:hi], out=dec).sum(axis=-1, out=y[lo:hi])
     y += D_skip.data * u_n
-    out = _node(np.ascontiguousarray(y.transpose(1, 2, 0)), inputs)
+    out = _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs)
     if out.requires_grad:
         def back(g):
-            g_n = g.transpose(2, 0, 1)
+            g_n = g.transpose(1, 0, 2)
             need_dh_b = u.requires_grad or delta.requires_grad
             need_log = delta.requires_grad or A.requires_grad
             dh_b = np.empty_like(delta_u) if need_dh_b else None      # sum_s dh_t * B_t
@@ -639,17 +636,17 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
                     if d_a is not None:
                         d_a += np.einsum("nbcs,nbc->cs", log_grad, delta_n[lo:hi])
             if delta.requires_grad:
-                _acc(delta, (u_n * dh_b + d_log).transpose(1, 2, 0))
+                _acc(delta, (u_n * dh_b + d_log).transpose(1, 0, 2))
             if A.requires_grad:
                 _acc(A, d_a)
             if u.requires_grad:
-                _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 2, 0))
+                _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 0, 2))
             if B_ssm.requires_grad:
                 _acc(B_ssm, d_b.transpose(1, 0, 2))
             if C_ssm.requires_grad:
                 _acc(C_ssm, np.matmul(g_n[:, :, None, :], h)[:, :, 0].transpose(1, 0, 2))
             if D_skip.requires_grad:
-                _acc(D_skip, np.einsum("bcn,bcn->c", g, u.data))
+                _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
         out._backward = back
     return out
 

@@ -3,14 +3,16 @@ import pytest
 
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import Tensor, concatenate, gradients, reverse, slice_axis
+from attention_mamba.tensor_core import ShapeError, Tensor, concatenate, gradients, reverse, slice_axis
 from helpers import numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
 
 
 def naive_scan(u, delta, A, B, C, D):
-    """Literal per-step recurrence, plain numpy."""
+    """Literal per-step recurrence, plain numpy; u, delta and the result are
+    [B, N, C], the loop works on channel-major [B, C, N] views of them."""
+    u, delta = u.swapaxes(1, 2), delta.swapaxes(1, 2)
     batch, channels, n = u.shape
     state = A.shape[1]
     h = np.zeros((batch, channels, state))
@@ -20,11 +22,13 @@ def naive_scan(u, delta, A, B, C, D):
         dBu = (delta[:, :, t] * u[:, :, t])[:, :, None] * B[:, None, t, :]
         h = dA * h + dBu
         y[:, :, t] = (h * C[:, None, t, :]).sum(axis=-1) + D[None, :] * u[:, :, t]
-    return y
+    return y.swapaxes(1, 2)
 
 
 def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
-    """The scan built from per-token tape ops, about a dozen nodes per token."""
+    """The scan built from per-token tape ops, about a dozen nodes per token.
+    It slices exact channel-major [B, C, N] copies of u and delta."""
+    u, delta = u.transpose_last2(), delta.transpose_last2()
     batch, channels, n_tokens = u.data.shape
     state_dim = A.data.shape[1]
     d_col = D_skip.reshape(channels, 1)
@@ -40,7 +44,18 @@ def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
         h = decay * h + drive
         y_t = (h * c_t).sum(axis=-1, keepdims=True) + d_col * u_t
         outputs.append(y_t)
-    return concatenate(outputs, axis=2)
+    return concatenate(outputs, axis=2).transpose_last2()
+
+
+def tape_nodes(out):
+    """Operation nodes reachable from out through the tape's parent links."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._prev:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
 
 
 # Token-run sizes for the fused scan: one token per run, runs that split
@@ -49,12 +64,15 @@ RUN_SIZES = (1, 37, tensor_core._SCAN_RUN_ELEMENTS)
 
 
 def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
+    """Scan inputs, u and delta token-major [B, N, C]; the draws are those of
+    the channel-major [B, C, N] layout, so the values do not depend on it."""
     u = rng.standard_normal((batch, channels, n))
     delta = rng.uniform(0.05, 1.5, (batch, channels, n))
     a_mat = -rng.uniform(0.1, 3.0, (channels, state))
     b = rng.standard_normal((batch, n, state))
     c = rng.standard_normal((batch, n, state))
     d = rng.standard_normal(channels)
+    u, delta = (np.ascontiguousarray(a.swapaxes(1, 2)) for a in (u, delta))
     return u, delta, a_mat, b, c, d
 
 
@@ -62,18 +80,18 @@ class TestSelectiveScan:
     def test_length_one_no_recurrence(self):
         u, delta, a_mat, b, c, d = random_scan_inputs(RNG, n=1)
         out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
-        expected = ((delta[:, :, 0] * u[:, :, 0])[:, :, None] * b[:, None, 0, :] * c[:, None, 0, :]).sum(-1) \
-            + d[None, :] * u[:, :, 0]
-        np.testing.assert_allclose(out.data[:, :, 0], expected, rtol=1e-12)
+        expected = ((delta[:, 0, :] * u[:, 0, :])[:, :, None] * b[:, None, 0, :] * c[:, None, 0, :]).sum(-1) \
+            + d[None, :] * u[:, 0, :]
+        np.testing.assert_allclose(out.data[:, 0, :], expected, rtol=1e-12)
 
     def test_large_negative_state_matrix_is_memoryless(self):
         u, delta, _, b, c, d = random_scan_inputs(RNG)
         a_mat = np.full((3, 4), -np.exp(20.0))
         out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
         memoryless = np.zeros_like(u)
-        for t in range(u.shape[2]):
-            dBu = (delta[:, :, t] * u[:, :, t])[:, :, None] * b[:, None, t, :]
-            memoryless[:, :, t] = (dBu * c[:, None, t, :]).sum(-1) + d[None, :] * u[:, :, t]
+        for t in range(u.shape[1]):
+            dBu = (delta[:, t, :] * u[:, t, :])[:, :, None] * b[:, None, t, :]
+            memoryless[:, t, :] = (dBu * c[:, None, t, :]).sum(-1) + d[None, :] * u[:, t, :]
         np.testing.assert_allclose(out.data, memoryless, atol=1e-12)
 
     def test_matches_naive_recurrence_oracle(self):
@@ -93,6 +111,12 @@ class TestSelectiveScan:
             u, delta, a_mat, b, c, d = random_scan_inputs(rng, **dims)
             out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
             assert np.abs(out.data - naive_scan(u, delta, a_mat, b, c, d)).max() < 1e-10
+
+    def test_channel_major_input_rejected(self):
+        u, delta, a_mat, b, c, d = random_scan_inputs(np.random.default_rng(0), channels=3, n=6)
+        u_cm, delta_cm = u.swapaxes(1, 2), delta.swapaxes(1, 2)   # [B, C, N]
+        with pytest.raises(ShapeError):
+            selective_scan(Tensor(u_cm), Tensor(delta_cm), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
 
     def test_nonpositive_delta_rejected(self):
         u, delta, a_mat, b, c, d = random_scan_inputs(RNG)
@@ -293,6 +317,16 @@ class TestBidirectional:
         fused = bidirectional_mamba(Tensor(x), p_fwd, p_bwd, variant="fused-reverse").data
         conventional = bidirectional_mamba(Tensor(x), p_fwd, p_bwd, variant="per-branch-reverse").data
         assert not np.allclose(fused, conventional, atol=1e-8)
+
+    @pytest.mark.parametrize("n_tokens,embed_dim", [(4, 8), (21, 16)])
+    def test_tape_nodes_per_call(self, n_tokens, embed_dim):
+        # 17 nodes a direction, the sum and the outer reverse; reversing an
+        # input that needs no gradient adds no node
+        p_fwd = tiny_params(embed_dim, n_tokens, seed=1)
+        p_bwd = tiny_params(embed_dim, n_tokens, seed=2)
+        x = np.random.default_rng(0).standard_normal((2, n_tokens, embed_dim))
+        out = bidirectional_mamba(Tensor(x), p_fwd, p_bwd)
+        assert tape_nodes(out) == 36
 
     def test_unknown_variant_rejected(self, monkeypatch):
         monkeypatch.setattr(mamba, "mamba_forward", lambda t, p: t)

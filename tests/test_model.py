@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ class TestForward:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model.forward(np.zeros((1, 9, 3)))
+
+    def test_trace_arrays_are_read_only_and_backward_unchanged(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 8, 3))
+        probe = Tensor(rng.standard_normal((2, 4, 3)))
+        model = tiny_model(seed=4)
+        yhat, trace = model.forward(x)
+        kept = [trace.value, trace.weighted_value] + [
+            getattr(trace.attention, f.name) for f in fields(trace.attention) if f.name != "score_macs"]
+        assert len(kept) == 10
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        got = gradients((yhat * probe).sum(), model.parameters())
+        fresh = tiny_model(seed=4)
+        want = gradients((fresh.forward(x)[0] * probe).sum(), fresh.parameters())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_determinism_bit_identical(self):
         x = RNG.standard_normal((2, 8, 3))
@@ -269,7 +288,16 @@ class TestCheckpoint:
         tensors.pop("head.weight")
         path = tmp_path / "partial.ckpt"
         save_checkpoint(path, model.config, tensors)
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(CheckpointError, match="missing"):
+            load_model(path)
+
+    def test_parameter_shape_mismatch_rejected(self, tmp_path):
+        model = tiny_model()
+        tensors = {name: t.data for name, t in model.named_parameters()}
+        tensors["head.bias"] = np.zeros(5)
+        path = tmp_path / "reshaped.ckpt"
+        save_checkpoint(path, model.config, tensors)
+        with pytest.raises(CheckpointError, match=r"head.bias has shape \(5,\)"):
             load_model(path)
 
     def test_loaded_model_reproduces_outputs(self, tmp_path):
@@ -308,6 +336,16 @@ class TestCheckpointErrors:
             cut.write_bytes(blob[:size])
             with pytest.raises(CheckpointError, match="cut short"):
                 load_checkpoint(cut)
+
+    def test_extents_past_int64_rejected_as_cut_short(self, tmp_path):
+        # (2**32-1)**2 * 4 bytes wraps to a negative int64 size
+        path = self.small_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        at = blob.rindex(struct.pack("<H", 1) + b"b")
+        huge = struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(blob[:at + 3] + huge + blob[at + 3 + 5:])
+        with pytest.raises(CheckpointError, match="cut short"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self.small_checkpoint(tmp_path)

@@ -98,6 +98,17 @@ class TestBackward:
         backward((y * y).sum())
         np.testing.assert_allclose(x.grad, [24.0])
 
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_gradient_shared_by_two_inputs_is_not_aliased(self, add_first):
+        # the add hands the same upstream array to x and y; x's later
+        # gradient must not leak into y's
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        terms = [(x + y).sum(), (x * 3.0).sum()]
+        backward(terms[0] + terms[1] if add_first else terms[1] + terms[0])
+        np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+
     def test_unreachable_parameter_gets_zero_gradient(self):
         x = Tensor(rand(2), requires_grad=True)
         unused = Tensor(rand(3), requires_grad=True)
@@ -148,7 +159,7 @@ PRIMITIVE_CASES = [
     ("softplus", lambda a: a.softplus(), lambda: [rand(3, 4)]),
     ("softmax_last", softmax_last, lambda: [rand(3, 5)]),
     ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
-    ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 3, 6), rand(3, 3), rand(3)]),
+    ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 6, 3), rand(3, 3), rand(3)]),
     ("adaptive_avg_pool", avg_half, lambda: [rand(2, 7, 12)]),             # 7 rows to 3 windows
     ("adaptive_max_pool", max_half, lambda: [rand(2, 7, 12)]),
     ("adaptive_avg_pool_upsample", avg_half, lambda: [rand(2, 5, 32)]),    # 5 rows to 8 windows
@@ -182,6 +193,21 @@ class TestReductionsAndRouting:
         expected = np.full((1, 2, 4), 0.125)
         expected[0, 1, 1] += 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+
+class TestCausalConv:
+    def test_slides_along_token_axis(self):
+        # x is [B, N, C]: channel 0 takes the previous token, channel 1 the current one
+        x = Tensor(np.array([[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]]]))
+        weight = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        out = conv1d_depthwise_causal(x, weight, Tensor(np.array([0.5, 0.0])))
+        np.testing.assert_array_equal(out.data, [[[0.5, 10.0], [1.5, 20.0], [2.5, 30.0], [3.5, 40.0]]])
+
+    def test_channel_major_input_rejected(self):
+        # 3 channels and 5 tokens, laid out channel-major [B, C, N]
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            conv1d_depthwise_causal(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 2))),
+                                    Tensor(np.ones(3)))
 
 
 class TestInvariants:
@@ -240,7 +266,7 @@ class TestMacCounter:
             affine(Tensor(rand(2, 3, 4)), Tensor(rand(4, 6)), Tensor(rand(6)))
         assert c.total == 2 * 3 * 4 * 6
         with count_macs() as c:
-            conv1d_depthwise_causal(Tensor(rand(2, 3, 5)), Tensor(rand(3, 2)), Tensor(rand(3)))
+            conv1d_depthwise_causal(Tensor(rand(2, 5, 3)), Tensor(rand(3, 2)), Tensor(rand(3)))
         assert c.total == 2 * 3 * 5 * 2
 
     def test_counters_nest(self):
