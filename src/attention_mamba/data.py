@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingestion, chronological splits, train-only
-z-scoring, stride-1 sliding windows, and a seeded synthetic generator.
+"""Dataset handling: bulk CSV ingestion, chronological splits, train-only
+z-scoring, stride-1 windows by start timestep, and a seeded synthetic generator.
 """
 
 from __future__ import annotations
@@ -56,65 +56,99 @@ def _is_number(cell: str) -> bool:
 
 
 def load_csv(path) -> RawSeries:
-    """Parse a rectangular numeric CSV.
+    """Parse a rectangular numeric UTF-8 CSV.
 
     A first row of entirely non-numeric cells is treated as a header; a
     non-numeric first cell on data rows marks a timestamp column, which is
-    dropped. Ragged rows, non-numeric data cells, and empty files each
-    raise their own error; a non-finite cell ("nan", "inf") counts as
-    non-numeric.
+    dropped. Ragged rows, non-numeric data cells, non-UTF-8 bytes and empty
+    files each raise their own error; a non-finite cell ("nan", "inf")
+    counts as non-numeric.
+
+    One ``np.loadtxt`` call parses the body; ``_scan_cells`` parses it
+    again only when that call fails or disagrees.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+    try:
+        return _parse_csv(path)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # exc.start counts from a read buffer, not the file
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise DataError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+
+
+def _parse_csv(path) -> RawSeries:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        first = next(rows, None)
+        header_lines = reader.line_num
+        second = next(rows, None)
+    if first is None:
         raise EmptyFileError(f"{path}: no rows")
 
     names: list[str] | None = None
-    if all(not _is_number(cell) for cell in rows[0]):
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
+    if all(not _is_number(cell) for cell in first):
+        names = [cell.strip() for cell in first]
+        first = second
+        if first is None:
             raise EmptyFileError(f"{path}: header only, no data rows")
 
-    has_timestamp = not _is_number(rows[0][0])
+    has_timestamp = not _is_number(first[0])
     first_col = 1 if has_timestamp else 0
     if names is not None and has_timestamp:
         names = names[first_col:]
 
-    width = len(rows[0]) - first_col
+    width = len(first) - first_col
     if width < 1:
         raise DataError(f"{path}: no numeric columns")
     if names is not None and len(names) != width:
         raise RaggedRowError(
             f"{path}: header has {len(names)} column names, data rows have {width} values"
         )
-    out = np.empty((len(rows), width), dtype=np.float64)
+    # Not usecols, which drops a ragged row's extra cells: timestamps parse as 0.
+    try:
+        out = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                         encoding="utf-8", skiprows=0 if names is None else header_lines,
+                         converters={0: lambda _: 0.0} if has_timestamp else None)
+    except ValueError:
+        out = None
+    if out is None or out.shape[1] != first_col + width or not np.isfinite(out).all():
+        out = _scan_cells(path, 0 if names is None else 1, first_col, width)
+    if names is None:
+        names = [f"v{j}" for j in range(width)]
+    return RawSeries(values=np.ascontiguousarray(out[:, first_col:]), names=names)
+
+
+def _scan_cells(path, skip: int, first_col: int, width: int) -> np.ndarray:
+    """Parse the rows after `skip` with float() per cell; name the first bad one."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row][skip:]
+    out = np.zeros((len(rows), first_col + width), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) - first_col != width:
             raise RaggedRowError(
                 f"{path}: row {i + 1} has {len(row) - first_col} values, expected {width}"
             )
-        for j, cell in enumerate(row[first_col:]):
+        for j in range(first_col, first_col + width):
             try:
-                out[i, j] = float(cell)
+                out[i, j] = float(row[j])
             except ValueError:
                 raise NonNumericCellError(
-                    f"{path}: non-numeric cell {cell!r} at row {i + 1}, column {j + first_col + 1}"
+                    f"{path}: non-numeric cell {row[j]!r} at row {i + 1}, column {j + 1}"
                 ) from None
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
-        col = j + first_col
         raise NonNumericCellError(
-            f"{path}: non-finite cell {rows[i][col]!r} at row {i + 1}, column {col + 1}"
+            f"{path}: non-finite cell {rows[i][j]!r} at row {i + 1}, column {j + 1}"
         )
-    if names is None:
-        names = [f"v{j}" for j in range(width)]
-    return RawSeries(values=out, names=names)
+    return out
 
 
 def write_csv(path, series: RawSeries) -> None:
     """Write a series back out with shortest round-trip float rendering."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(series.names)
         for row in series.values:
@@ -132,32 +166,31 @@ class WindowSample:
     y: np.ndarray  # [T, N]
 
 
-def make_windows(values: np.ndarray, lookback: int, horizon: int,
-                 region: tuple[int, int] | None = None) -> list[WindowSample]:
-    """Stride-1 windows whose last target timestep falls inside `region`.
+def window_starts(total: int, lookback: int, horizon: int,
+                  region: tuple[int, int] | None = None) -> np.ndarray:
+    """Start timesteps of the stride-1 windows whose last target falls in `region`.
 
     The lookback may reach back before the region start (but never before
     timestep 0), so scoring region r of length R yields R windows once r
     starts at lookback+horizon-1 or later; a standalone series of length R
-    yields R - L - T + 1 windows. Too-short inputs give an empty list.
+    yields R - L - T + 1 windows. Too-short inputs give none.
     """
     if lookback < 1 or horizon < 1:
         raise DataError(f"lookback and horizon must be >= 1, got {lookback}, {horizon}")
-    total = values.shape[0]
     start, end = region if region is not None else (0, total)
     first = max(0, start - lookback - horizon + 1)
     last = min(end, total) - lookback - horizon + 1
     if last <= first:
         log.info("no windows: region (%d, %d) shorter than lookback+horizon=%d",
                  start, end, lookback + horizon)
-        return []
-    out = []
-    for i in range(first, last):
-        out.append(WindowSample(
-            x=values[i:i + lookback],
-            y=values[i + lookback:i + lookback + horizon],
-        ))
-    return out
+    return np.arange(first, last)
+
+
+def make_windows(values: np.ndarray, lookback: int, horizon: int,
+                 region: tuple[int, int] | None = None) -> list[WindowSample]:
+    """The windows of ``window_starts`` as views of `values`."""
+    return [WindowSample(x=values[i:i + lookback], y=values[i + lookback:i + lookback + horizon])
+            for i in window_starts(values.shape[0], lookback, horizon, region).tolist()]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Adam optimization of MSE with seeded shuffling, gradient clipping,
-early stopping on validation loss, and divergence rollback to the best
-checkpoint seen so far.
+"""Adam optimization of MSE over batches gathered by window start, with seeded
+shuffling, gradient clipping, early stopping on validation loss, and
+divergence rollback to the best checkpoint seen so far.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, SplitDataset, WindowSample
+from .data import DataError, SplitDataset, WindowSample, window_starts
 from .model import AttentionMambaModel, ConfigError
 from .tensor_core import NonPositiveStepError, Tensor, gradients
 
@@ -107,12 +107,6 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _stack_windows(windows: list[WindowSample], dtype) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([w.x for w in windows]).astype(dtype)
-    ys = np.stack([w.y for w in windows]).astype(dtype)
-    return xs, ys
-
-
 def _snapshot(model: AttentionMambaModel) -> dict:
     return {name: t.data.copy() for name, t in model.named_parameters()}
 
@@ -124,7 +118,7 @@ def _restore(model: AttentionMambaModel, snapshot: dict) -> None:
 
 def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
                      batch_size: int = 64) -> tuple[float, float]:
-    """Forward-only metrics over a list of windows, in scaled space.
+    """Forward-only metrics over windows stacked one batch at a time, in scaled space.
 
     Errors are taken in float64 from the model-dtype predictions and summed
     across batches, so the result is the MSE and MAE of those predictions to
@@ -132,13 +126,14 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     """
     if not windows:
         return float("nan"), float("nan")
-    xs, ys = _stack_windows(windows, model.config.dtype)
     sq = 0.0
     ab = 0.0
     count = 0
-    for i in range(0, len(xs), batch_size):
-        yhat = model.forward(xs[i:i + batch_size])[0].data
-        err = yhat.astype(np.float64) - ys[i:i + batch_size].astype(np.float64)
+    for i in range(0, len(windows), batch_size):
+        batch = windows[i:i + batch_size]
+        yhat = model.forward(np.stack([w.x for w in batch]).astype(model.config.dtype))[0].data
+        ys = np.stack([w.y for w in batch]).astype(model.config.dtype)
+        err = yhat.astype(np.float64) - ys.astype(np.float64)
         sq += float((err**2).sum())
         ab += float(np.abs(err).sum())
         count += err.size
@@ -147,21 +142,23 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
 
 def train(model: AttentionMambaModel, dataset: SplitDataset,
           cfg: TrainRunConfig) -> TrainResult:
-    """Minimize MSE over the train windows; deterministic for a fixed seed.
+    """Minimize MSE over the train windows, each batch gathered from the
+    series cast once to the model dtype; deterministic for a fixed seed.
 
     Keeps the best-validation checkpoint and restores it into the model on
     exit. A non-finite loss or gradient, or a step size that underflowed
     to zero (NonPositiveStepError from the scan), aborts with the last good
     checkpoint and the result flagged as diverged.
     """
-    train_windows = dataset.windows("train")
-    if not train_windows:
+    L, T = dataset.lookback, dataset.horizon
+    starts = window_starts(dataset.values.shape[0], L, T, dataset.train_range)
+    if not len(starts):
         raise DataError("dataset yields no training windows")
     val_windows = dataset.windows("val")
     if not val_windows:
         log.info("no validation windows; using train loss for early stopping")
 
-    xs, ys = _stack_windows(train_windows, model.config.dtype)
+    values = np.asarray(dataset.values, dtype=model.config.dtype)
     named = model.named_parameters()
     params = [t for _, t in named]
     opt = AdamState.init(named, cfg.lr)
@@ -174,14 +171,14 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     bad_epochs = 0
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(xs))
+        order = rng.permutation(len(starts))
         sq_sum = 0.0
         n_elem = 0
         try:
             for i in range(0, len(order), cfg.batch_size):
-                idx = order[i:i + cfg.batch_size]
-                yhat, _ = model.forward(xs[idx])
-                diff = yhat - Tensor(ys[idx])
+                s = starts[order[i:i + cfg.batch_size], None]
+                yhat, _ = model.forward(values[s + np.arange(L)])
+                diff = yhat - Tensor(values[s + np.arange(L, L + T)])
                 loss = (diff * diff).mean()
                 loss_val = loss.item()
                 if not math.isfinite(loss_val):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from attention_mamba.data import (
+    DataError,
     EmptyFileError,
     NonNumericCellError,
     RaggedRowError,
@@ -17,6 +18,41 @@ from attention_mamba.data import (
 )
 
 RNG = np.random.default_rng(53)
+
+# Odd inputs and what load_csv makes of them: (values, names), or (error
+# type, message after the path). The bulk parse must agree with the
+# cell-by-cell float() scan on every one.
+ODD_CSVS = {
+    "extra_cell_after_timestamp": ("t,a\n2016-07-01,1.0\n2016-07-02,2.0,3.0\n",
+                                   (RaggedRowError, "row 2 has 2 values, expected 1")),
+    "hash_cell": ("1.0,2.0\n#3,4.0\n",
+                  (NonNumericCellError, "non-numeric cell '#3' at row 2, column 1")),
+    "whitespace_line_one_column": ("1.0\n \n2.0\n",
+                                   (NonNumericCellError, "non-numeric cell ' ' at row 2, column 1")),
+    "whitespace_line_two_columns": ("1.0,2.0\n \n3.0,4.0\n",
+                                    (RaggedRowError, "row 2 has 1 values, expected 2")),
+    "empty_cell": ("1.0,\n3.0,4.0\n",
+                   (NonNumericCellError, "non-numeric cell '' at row 1, column 2")),
+    "quoted_cells": ('"a","b"\n"1.5","2.5"\n', ([[1.5, 2.5]], ["a", "b"])),
+    "quoted_timestamp_with_comma": ('date,x\n"Jul 1, 2016",1.0\n"Jul 2, 2016",2.0\n',
+                                    ([[1.0], [2.0]], ["x"])),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+    "blank_lines": ("\n\na,b\n\n1,2\n\n\n3,4\n\n", ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+    "underscore_digits": ("1_0,2\n", ([[10.0, 2.0]], ["v0", "v1"])),
+    "fullwidth_digit": ("\uff11,2\n", ([[1.0, 2.0]], ["v0", "v1"])),
+    "overflow": ("1.0,1e500\n",
+                 (NonNumericCellError, "non-finite cell '1e500' at row 1, column 2")),
+    "nan_after_timestamp": ("t,a\nx,NaN\n",
+                            (NonNumericCellError, "non-finite cell 'NaN' at row 1, column 2")),
+    "space_padded": (" 1.5 , 2.5\n", ([[1.5, 2.5]], ["v0", "v1"])),
+    "tab_padded": ("\t1.5,2.5\t\n", ([[1.5, 2.5]], ["v0", "v1"])),
+    "semicolon_delimiter": ("1;2\n3;4\n", (DataError, "no numeric columns")),
+    "single_value": ("5\n", ([[5.0]], ["v0"])),
+    "numeric_cell_in_timestamp_column": ("2016-07-01,1.0\n7,2.0\n", ([[1.0], [2.0]], ["v0"])),
+    "numeric_looking_header_name": ("date,2020\nx,1.0\ny,2.0\n",
+                                    ([[2020.0], [1.0], [2.0]], ["v0"])),
+    "quoted_newline_in_header": ('"a\nb",c\n1,2\n', ([[1.0, 2.0]], ["a\nb", "c"])),
+}
 
 
 class TestLoadCsv:
@@ -79,6 +115,40 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(EmptyFileError):
             load_csv(p)
+
+    @pytest.mark.parametrize("text, expected", ODD_CSVS.values(), ids=ODD_CSVS.keys())
+    def test_odd_input_table(self, tmp_path, text, expected):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode("utf-8"))
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as info:
+                load_csv(p)
+            assert type(info.value) is expected[0]
+            assert str(info.value) == f"{p}: {expected[1]}"
+        else:
+            series = load_csv(p)
+            assert series.values.dtype == np.float64 and series.values.flags.c_contiguous
+            assert np.array_equal(series.values, np.array(expected[0]))
+            assert series.names == expected[1]
+
+    def test_scan_decides_when_bulk_parse_finds_another_width(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.csv"
+        p.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((2, 3)))
+        series = load_csv(p)
+        assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert series.names == ["a", "b"]
+
+    @pytest.mark.parametrize("offset", [4, 20000])
+    def test_non_utf8_byte_is_a_data_error(self, tmp_path, offset):
+        # 20000 lies past the first buffered chunk of the header read
+        text = bytearray(b"temperature,b\n" + b"1.0,2.0\n" * 4000)
+        text[offset] = 0xE9
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(bytes(text))
+        with pytest.raises(DataError, match=f"not UTF-8 text at byte offset {offset}$") as info:
+            load_csv(p)
+        assert str(p) in str(info.value)
 
     def test_write_read_round_trip_exact(self, tmp_path):
         values = RNG.standard_normal((100, 5))

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from attention_mamba import training
 
 from attention_mamba.data import RawSeries, SyntheticSpec, fit_apply_scaler, generate_synthetic, split_series
 from attention_mamba.model import AttentionMambaModel, ConfigError, ModelConfig
@@ -109,6 +112,24 @@ def tiny_model(seed=0, precision="32"):
     return AttentionMambaModel(cfg, np.random.default_rng(seed))
 
 
+def wide_dataset_and_model():
+    """3000x64 series with L=T=96: ~1.9k train windows whose stacked copies
+    would be ~120x the series."""
+    rng = np.random.default_rng(7)
+    series = RawSeries(values=rng.standard_normal((3000, 64)), names=[f"v{i}" for i in range(64)])
+    cfg = ModelConfig(n_variates=64, lookback=96, horizon=96, embed_dim=8, state_dim=4)
+    return fit_apply_scaler(split_series(series, 96, 96)), AttentionMambaModel(cfg, rng)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrain:
     def test_zero_epochs_changes_nothing(self):
         model = tiny_model()
@@ -117,6 +138,33 @@ class TestTrain:
         assert result.curve == []
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
+
+    def test_zero_epoch_memory_is_bounded_by_the_series(self):
+        ds, model = wide_dataset_and_model()
+        peak = traced_peak(lambda: train(model, ds, TrainRunConfig(epochs=0)))
+        assert peak < 4 * ds.values.nbytes
+
+    @pytest.mark.parametrize("precision", ["32", "64"])
+    def test_batches_are_the_stacked_windows_in_seeded_order(self, monkeypatch, precision):
+        model = tiny_model(precision=precision)
+        ds = tiny_dataset()
+        windows = ds.windows("train")
+        xs = np.stack([w.x for w in windows])
+        ys = np.stack([w.y for w in windows])
+        seen_x, seen_y = [], []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda x: seen_x.append(x.copy()) or forward(x))
+        monkeypatch.setattr(training, "Tensor", lambda a: seen_y.append(a.copy()) or Tensor(a))
+        train(model, ds, TrainRunConfig(epochs=1, batch_size=16, seed=11))
+        # 45 windows: batches of 16, 16 and a ragged 13, then one validation forward
+        order = np.random.default_rng([11, 1]).permutation(len(windows))
+        batches = [order[i:i + 16] for i in range(0, len(order), 16)]
+        assert len(windows) == 45 and len(seen_y) == 3 and len(seen_x) == 4
+        dtype = model.config.dtype
+        for idx, x, y in zip(batches, seen_x, seen_y):
+            assert x.dtype == dtype and y.dtype == dtype
+            assert np.array_equal(x, xs[idx].astype(dtype))
+            assert np.array_equal(y, ys[idx].astype(dtype))
 
     def test_loss_decreases_on_learnable_data(self):
         model = tiny_model()
@@ -211,3 +259,12 @@ class TestEvaluate:
             err = yhat.astype(np.float64) - ys.astype(np.float64)
             np.testing.assert_allclose(mse, (err**2).mean(), rtol=1e-9)
             np.testing.assert_allclose(mae, np.abs(err).mean(), rtol=1e-9)
+
+    def test_memory_is_bounded_by_batches_not_windows(self):
+        ds, model = wide_dataset_and_model()
+        windows = ds.windows("test")
+        batch_bytes = 16 * (96 + 96) * 64 * 8   # one batch of x and y in float64
+        two_batches = traced_peak(lambda: evaluate_mse_mae(model, windows[:32], 16))
+        all_windows = traced_peak(lambda: evaluate_mse_mae(model, windows, 16))
+        assert len(windows) == 600
+        assert all_windows < two_batches + batch_bytes
