@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +48,20 @@ class RawSeries:
         return self.values.shape[1]
 
 
-def _is_number(cell: str) -> bool:
+def _is_number(cell: str, finite: bool = False) -> bool:
+    """Whether float() takes the cell; with finite, also whether the value is
+    finite, so that a column named "inf" or "nan" can head a header row."""
     try:
-        float(cell)
-        return True
+        value = float(cell)
     except ValueError:
         return False
+    return not finite or math.isfinite(value)
 
 
 def load_csv(path) -> RawSeries:
     """Parse a rectangular numeric UTF-8 CSV.
 
-    A first row of entirely non-numeric cells is treated as a header; a
+    A first row with no finite number in it is treated as a header; a
     non-numeric first cell on data rows marks a timestamp column, which is
     dropped. Ragged rows, non-numeric data cells, non-UTF-8 bytes and empty
     files each raise their own error; a non-finite cell ("nan", "inf")
@@ -89,7 +92,7 @@ def _parse_csv(path) -> RawSeries:
         raise EmptyFileError(f"{path}: no rows")
 
     names: list[str] | None = None
-    if all(not _is_number(cell) for cell in first):
+    if all(not _is_number(cell, finite=True) for cell in first):
         names = [cell.strip() for cell in first]
         first = second
         if first is None:

@@ -1,5 +1,13 @@
 """Selective state-space layer and its bidirectional wrapper.
 
+The bidirectional value is mamba(x) + reverse(mamba(reverse(x))): the
+reversed scan's output is flipped back, so every output token sees every
+input token. Tokens are variates; a form that left some unseen would let a
+variate's column position decide what it can mix in. The retired form,
+"fused-reverse" (earlier tests called it the literal one), flipped the sum
+of both branches, so token i saw only tokens [0, N-1-i] and [i, N-1]. PAPER.md
+holds only the abstract, so the paper's own equation cannot be checked here.
+
 One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
 the step size, input matrix and readout matrix of the recurrence, the
@@ -140,18 +148,17 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     return linear(gated, p.out_proj)
 
 
-def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams, *,
-                        variant: str = "fused-reverse") -> Tensor:
-    """Combine a normal-order and a reversed-order scan over the token axis.
+def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams) -> Tensor:
+    """Sum a normal-order scan and a reversed-order scan flipped back:
+    value = mamba(x) + reverse(mamba(reverse(x))), the flip-back form of
+    Vim (arXiv 2401.09417) and S-Mamba (arXiv 2403.11144).
 
-    "fused-reverse" reverses the sum of both branch outputs, i.e.
-    value = reverse(mamba(x) + mamba(reverse(x))). "per-branch-reverse" is
-    the conventional placement that re-reverses only the reversed branch.
+    Output token i gets the forward scan over tokens [0, i] and the reversed
+    scan over [i, N-1], so it sees every input token. The retired
+    "fused-reverse" form, reverse(mamba(x) + mamba(reverse(x))), also flipped
+    the forward branch: token i saw only [0, N-1-i] and [i, N-1], and the
+    last token saw two of the N tokens.
     """
     normal = mamba_forward(x, p_fwd)
     reversed_branch = mamba_forward(reverse(x, 1), p_bwd)
-    if variant == "fused-reverse":
-        return reverse(normal + reversed_branch, 1)
-    if variant == "per-branch-reverse":
-        return normal + reverse(reversed_branch, 1)
-    raise ValueError(f"unknown bidirectional variant {variant!r}")
+    return normal + reverse(reversed_branch, 1)

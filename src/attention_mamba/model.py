@@ -18,8 +18,10 @@ from .pooled_attention import AttentionTrace, PooledAttentionParams, attention_w
 from .tensor_core import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"ATTNMAMBA1"
-
-BIDIRECTIONAL_VARIANTS = ("fused-reverse", "per-branch-reverse")
+# Every v1 config record holds this fixed entry, so that older readers load a
+# new file as the same function. A file that names the retired "fused-reverse"
+# scan form, or has no entry, computes another function and is refused.
+V1_SCAN_FORM = ("bidirectional_variant", "per-branch-reverse")
 
 
 class ConfigError(ValueError):
@@ -28,8 +30,9 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed: bad magic, cut short, bytes after the
-    last record, a tensor name given twice, or parameters that do not fit
-    the model its config describes."""
+    last record, a tensor name given twice, a scan form other than the one
+    the model runs, or parameters that do not fit the model its config
+    describes."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class ModelConfig:
     expansion: int = 1
     conv_width: int = 32
     state_dim: int = 16
-    bidirectional_variant: str = "fused-reverse"
     precision: str = "32"
 
     def __post_init__(self):
@@ -56,11 +58,6 @@ class ModelConfig:
             raise ConfigError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if self.lookback < 2:
             raise ConfigError(f"lookback must be >= 2 for instance statistics, got {self.lookback}")
-        if self.bidirectional_variant not in BIDIRECTIONAL_VARIANTS:
-            raise ConfigError(
-                f"bidirectional_variant must be one of {BIDIRECTIONAL_VARIANTS}, "
-                f"got {self.bidirectional_variant!r}"
-            )
         if self.precision not in ("32", "64"):
             raise ConfigError(f"precision must be '32' or '64', got {self.precision!r}")
 
@@ -147,10 +144,7 @@ class AttentionMambaModel:
         embedded = linear(tokens, self.embed)            # [B, N, E]
 
         weights, attn_trace = attention_weights(embedded, self.attn)
-        value = bidirectional_mamba(
-            embedded, self.mamba_fwd, self.mamba_bwd,
-            variant=cfg.bidirectional_variant,
-        )
+        value = bidirectional_mamba(embedded, self.mamba_fwd, self.mamba_bwd)
         fused = weights * value                          # elementwise, [B, N, E]
 
         horizon_first = linear(fused, self.head).transpose_last2()   # [B, T, N]
@@ -174,7 +168,8 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]) -
     Every tensor is stored as little-endian float32 regardless of the
     in-memory precision; names are UTF-8, extents unsigned 32-bit.
     """
-    config_blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    record = config.to_dict() | dict([V1_SCAN_FORM])
+    config_blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(config_blob)))
@@ -194,8 +189,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Read a container written by ``save_checkpoint``.
 
     Raises CheckpointError when the file has a bad magic, is cut short,
-    has bytes after the last record or names a tensor twice, and
-    ConfigError when its config record is not a valid ModelConfig.
+    has bytes after the last record, names a tensor twice or does not hold
+    the fixed scan-form entry, and ConfigError when the rest of its config
+    record is not a valid ModelConfig.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())   # slices below share its buffer
@@ -221,6 +217,15 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         config_dict = json.loads(bytes(config_blob).decode())
     except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError alike
         raise CheckpointError(f"{path}: config record is not UTF-8 JSON: {exc}") from None
+    if not isinstance(config_dict, dict):
+        raise CheckpointError(f"{path}: config record is not a JSON object")
+    key, form = V1_SCAN_FORM
+    found = config_dict.pop(key, None)
+    if found != form:
+        raise CheckpointError(
+            f"{path}: config record has {key}={found!r}; only {form!r} loads, and "
+            f"the retired 'fused-reverse' scan form computes another function"
+        )
     config = ModelConfig.from_dict(config_dict)
     (count,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}

@@ -3,10 +3,8 @@
 Every forward operation returns a new :class:`Tensor` that remembers its
 parents and a backward closure; ``backward()`` replays the implicit tape
 once in reverse topological order. Arrays are numpy, row-major, float32
-or float64. The op set is what the forecasting model runs, plus
-``concatenate``, which the model does not use: it is kept so that the
-per-token tape scan that serves as the fused scan's test oracle can be
-built from tape ops. There is no GPU path and no graph optimization.
+or float64. The op set is what the forecasting model runs. There is no
+GPU path and no graph optimization.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
@@ -26,7 +24,7 @@ import math
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import erf as _sp_erf, expit as _sp_expit
@@ -36,7 +34,6 @@ __all__ = [
     "ShapeError",
     "NonPositiveStepError",
     "matmul",
-    "concatenate",
     "slice_axis",
     "reverse",
     "softmax_last",
@@ -169,8 +166,6 @@ class Tensor:
             out._backward = back
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _as_tensor(other, like=self)
         out = _node(self.data - other.data, (self, other))
@@ -182,9 +177,6 @@ class Tensor:
                     _acc(other, _unbroadcast(-g, other.data.shape))
             out._backward = back
         return out
-
-    def __rsub__(self, other):
-        return _as_tensor(other) - self
 
     def __mul__(self, other):
         other = _as_tensor(other, like=self)
@@ -198,8 +190,6 @@ class Tensor:
             out._backward = back
         return out
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = _as_tensor(other, like=self)
         out = _node(self.data / other.data, (self, other))
@@ -212,9 +202,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
     def __neg__(self):
         out = _node(-self.data, (self,))
         if out.requires_grad:
@@ -222,9 +209,6 @@ class Tensor:
                 _acc(self, -g)
             out._backward = back
         return out
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -417,24 +401,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 gb = np.matmul(a.data.swapaxes(-1, -2), g)
                 _acc(b, _unbroadcast(gb, b.data.shape))
-        out._backward = back
-    return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Join tensors along one axis; no model path uses it, only the scan oracle."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def back(g):
-            start = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + size)
-                    _acc(t, g[tuple(sl)])
-                start += size
         out._backward = back
     return out
 

@@ -84,7 +84,6 @@ class TrainRunConfig:
     seed: int = 2024
     patience: int = 10
     clip_norm: float = 5.0   # 0 disables clipping
-    stop_train_mse: float = 0.0  # 0 disables the train-fit early exit
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -214,11 +213,6 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
                 _restore(model, best_params)
                 return TrainResult(curve, best_epoch, best_val, best_params,
                                    stopped_early=True)
-
-        if cfg.stop_train_mse > 0 and train_mse < cfg.stop_train_mse:
-            log.info("train MSE %.3e under target %.3e at epoch %d; stopping",
-                     train_mse, cfg.stop_train_mse, epoch)
-            break
 
     if best_epoch >= 0:
         _restore(model, best_params)

@@ -1,10 +1,30 @@
-"""Shared test oracles: central finite differences and gradient checks."""
+"""Shared test oracles: central finite differences, gradient checks, and
+``concatenate``, a tape op that no model path runs."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from attention_mamba.tensor_core import Tensor, gradients
+from attention_mamba.tensor_core import Tensor, _acc, _node, gradients
+
+
+def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along one axis; the per-token tape scan oracle needs it."""
+    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
+    if out.requires_grad:
+        sizes = [t.data.shape[axis] for t in tensors]
+        def back(g):
+            start = 0
+            for t, size in zip(tensors, sizes):
+                if t.requires_grad:
+                    sl = [slice(None)] * g.ndim
+                    sl[axis] = slice(start, start + size)
+                    _acc(t, g[tuple(sl)])
+                start += size
+        out._backward = back
+    return out
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

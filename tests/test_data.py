@@ -52,6 +52,10 @@ ODD_CSVS = {
     "numeric_looking_header_name": ("date,2020\nx,1.0\ny,2.0\n",
                                     ([[2020.0], [1.0], [2.0]], ["v0"])),
     "quoted_newline_in_header": ('"a\nb",c\n1,2\n', ([[1.0, 2.0]], ["a\nb", "c"])),
+    "header_name_inf": ("date,load,inf\nx,1.0,2.0\n", ([[1.0, 2.0]], ["load", "inf"])),
+    "header_name_nan": ("load,nan\n1.0,2.0\n", ([[1.0, 2.0]], ["load", "nan"])),
+    "nan_first_data_cell": ("nan,1.0\n2.0,3.0\n",
+                            (NonNumericCellError, "non-finite cell 'nan' at row 1, column 1")),
 }
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import ShapeError, Tensor, concatenate, gradients, reverse, slice_axis
-from helpers import numerical_grad, rel_error
+from attention_mamba.tensor_core import ShapeError, Tensor, gradients, reverse, slice_axis
+from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
 
@@ -292,11 +292,11 @@ class TestMambaForward:
 
 class TestBidirectional:
     def test_identity_stub_algebra(self, monkeypatch):
-        # with the scan replaced by identity: value = reverse(x + reverse(x)) = reverse(x) + x
+        # with the scan replaced by identity: value = x + reverse(reverse(x)) = 2x
         monkeypatch.setattr(mamba, "mamba_forward", lambda t, p: t)
         x = RNG.standard_normal((2, 5, 3))
         out = bidirectional_mamba(Tensor(x), None, None)
-        np.testing.assert_allclose(out.data, x + x[:, ::-1, :], rtol=1e-12)
+        np.testing.assert_allclose(out.data, 2 * x, rtol=1e-12)
 
     def test_reverse_is_involution(self):
         x = RNG.standard_normal((2, 5, 3))
@@ -308,27 +308,32 @@ class TestBidirectional:
         got = bidirectional_mamba(Tensor(x), p, p).data
         normal = mamba_forward(Tensor(x), p).data
         rev_branch = mamba_forward(Tensor(x[:, ::-1, :].copy()), p).data
-        np.testing.assert_allclose(got, (normal + rev_branch)[:, ::-1, :], atol=1e-12)
+        np.testing.assert_allclose(got, normal + rev_branch[:, ::-1, :], atol=1e-12)
 
-    def test_literal_form_differs_from_conventional(self):
-        p_fwd = tiny_params(seed=1)
-        p_bwd = tiny_params(seed=2)
-        x = RNG.standard_normal((1, 5, 8))
-        fused = bidirectional_mamba(Tensor(x), p_fwd, p_bwd, variant="fused-reverse").data
-        conventional = bidirectional_mamba(Tensor(x), p_fwd, p_bwd, variant="per-branch-reverse").data
-        assert not np.allclose(fused, conventional, atol=1e-8)
+    @pytest.mark.parametrize("n_tokens", [7, 21])
+    def test_every_output_token_sees_every_input_token(self, n_tokens):
+        # float64 gradients: a structurally unreachable input token gets an
+        # exact zero, and every reachable one a non-zero gradient. Each output
+        # token gets its own graph: a second sweep over a graph would add to
+        # the gradients its inner nodes kept from the first.
+        p_fwd = tiny_params(8, n_tokens, seed=1)
+        p_bwd = tiny_params(8, n_tokens, seed=2)
+        x = Tensor(np.random.default_rng(5).standard_normal((1, n_tokens, 8)), requires_grad=True)
+        probe = np.random.default_rng(6).standard_normal(x.data.shape)
+        for i in range(n_tokens):
+            mask = np.zeros_like(probe)
+            mask[:, i, :] = probe[:, i, :]
+            out = bidirectional_mamba(x, p_fwd, p_bwd)
+            (grad,) = gradients((out * Tensor(mask)).sum(), [x])
+            seen = np.abs(grad[0]).max(axis=1) > 0
+            assert seen.all(), f"output token {i} misses input tokens {np.flatnonzero(~seen)}"
 
     @pytest.mark.parametrize("n_tokens,embed_dim", [(4, 8), (21, 16)])
     def test_tape_nodes_per_call(self, n_tokens, embed_dim):
-        # 17 nodes a direction, the sum and the outer reverse; reversing an
-        # input that needs no gradient adds no node
+        # 17 nodes a direction, the flip back of the reversed branch and the
+        # sum; reversing an input that needs no gradient adds no node
         p_fwd = tiny_params(embed_dim, n_tokens, seed=1)
         p_bwd = tiny_params(embed_dim, n_tokens, seed=2)
         x = np.random.default_rng(0).standard_normal((2, n_tokens, embed_dim))
         out = bidirectional_mamba(Tensor(x), p_fwd, p_bwd)
         assert tape_nodes(out) == 36
-
-    def test_unknown_variant_rejected(self, monkeypatch):
-        monkeypatch.setattr(mamba, "mamba_forward", lambda t, p: t)
-        with pytest.raises(ValueError):
-            bidirectional_mamba(Tensor(np.zeros((1, 2, 8))), None, None, variant="bogus")

@@ -20,8 +20,8 @@ from attention_mamba.model import (
     save_checkpoint,
     save_model,
 )
-from attention_mamba.tensor_core import ShapeError, Tensor, concatenate, gradients, slice_axis
-from helpers import numerical_grad, rel_error
+from attention_mamba.tensor_core import ShapeError, Tensor, gradients, slice_axis
+from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(41)
 
@@ -44,12 +44,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_variates=3, lookback=8, horizon=-1, embed_dim=8)
 
-    def test_precision_and_variant_validated(self):
+    def test_precision_validated(self):
         with pytest.raises(ConfigError):
             ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, precision="16")
-        with pytest.raises(ConfigError):
-            ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8,
-                        bidirectional_variant="sideways")
 
     def test_round_trips_through_dict(self):
         cfg = ModelConfig(n_variates=7, lookback=96, horizon=24, embed_dim=32)
@@ -320,10 +317,13 @@ class TestCheckpointErrors:
         return path
 
     def test_v1_bytes_unchanged(self, tmp_path):
+        # the fixed scan-form entry is the one v1 files of the retired form
+        # held, with "per-branch-reverse" for "fused-reverse"
         blob = self.small_checkpoint(tmp_path).read_bytes()
-        assert len(blob) == 251
+        assert len(blob) == 256
+        assert b'"bidirectional_variant":"per-branch-reverse"' in blob
         assert hashlib.sha256(blob).hexdigest() == \
-            "207dfaaa72e8446c4cba45852cedeb2566870ad17118620e0d7fcfe09e9fd021"
+            "66d7b11ea6fe64983ab36a4a66cd64b743d864dfb7e9f434c7a5cc405581e0b5"
         config, tensors = load_checkpoint(tmp_path / "small.ckpt")
         assert config == TINY
         assert list(tensors) == ["a", "scalar", "b"]
@@ -368,6 +368,24 @@ class TestCheckpointErrors:
         at = blob.rindex(struct.pack("<H", 1) + b"b")
         path.write_bytes(blob[:at + 2] + b"\xff" + blob[at + 3:])
         with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_retired_scan_form_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        rewrite_config(path, lambda d: d | {"bidirectional_variant": "fused-reverse"})
+        with pytest.raises(CheckpointError, match="'fused-reverse'.*retired 'fused-reverse'"):
+            load_checkpoint(path)
+
+    def test_missing_scan_form_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        rewrite_config(path, lambda d: {k: v for k, v in d.items() if k != "bidirectional_variant"})
+        with pytest.raises(CheckpointError, match="bidirectional_variant=None.*retired 'fused-reverse'"):
+            load_checkpoint(path)
+
+    def test_config_record_not_object_rejected(self, tmp_path):
+        path = self.small_checkpoint(tmp_path)
+        rewrite_config(path, lambda d: sorted(d))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
 
     def test_config_record_not_json_rejected(self, tmp_path):

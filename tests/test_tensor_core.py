@@ -7,7 +7,6 @@ from attention_mamba.tensor_core import (
     Tensor,
     affine,
     backward,
-    concatenate,
     conv1d_depthwise_causal,
     count_macs,
     fuse_pool,
@@ -18,7 +17,7 @@ from attention_mamba.tensor_core import (
     slice_axis,
     softmax_last,
 )
-from helpers import gradcheck, rel_error
+from helpers import concatenate, gradcheck, rel_error
 
 RNG = np.random.default_rng(7)
 

@@ -227,13 +227,6 @@ class TestTrain:
         vals = [v for _, _, v in result.curve]
         assert abs(result.best_val - min(vals)) < 1e-12
 
-    def test_stop_on_train_mse_target(self):
-        model = tiny_model()
-        result = train(model, tiny_dataset(),
-                       TrainRunConfig(epochs=200, batch_size=16, lr=5e-3, stop_train_mse=0.5))
-        assert len(result.curve) < 200
-        assert result.curve[-1][1] < 0.5
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainRunConfig(epochs=-1)
