@@ -1,5 +1,6 @@
-"""Shared test oracles: central finite differences, gradient checks, and
-``concatenate``, a tape op that no model path runs."""
+"""Shared test oracles: central finite differences, gradient checks,
+``concatenate``, a tape op that no model path runs, and
+``conv1d_per_tap``, the causal convolution written one tap at a time."""
 
 from __future__ import annotations
 
@@ -23,6 +24,36 @@ def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
                     sl[axis] = slice(start, start + size)
                     _acc(t, g[tuple(sl)])
                 start += size
+        out._backward = back
+    return out
+
+
+def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Depthwise causal convolution of [B, N, C] by a [C, K] kernel as a
+    loop over the K taps, forward and backward: the oracle for the windowed
+    ``conv1d_depthwise_causal``."""
+    n_seq = x.data.shape[1]
+    width = weight.data.shape[1]
+    xp = np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0)))
+    y = np.zeros_like(x.data)
+    for k in range(width):
+        y += weight.data[:, k] * xp[:, k:k + n_seq]
+    y += bias.data
+    out = _node(y, (x, weight, bias))
+    if out.requires_grad:
+        def back(g):
+            if x.requires_grad:
+                gxp = np.zeros_like(xp)
+                for k in range(width):
+                    gxp[:, k:k + n_seq] += weight.data[:, k] * g
+                _acc(x, gxp[:, width - 1:])
+            if weight.requires_grad:
+                gw = np.empty_like(weight.data)
+                for k in range(width):
+                    gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
+                _acc(weight, gw)
+            if bias.requires_grad:
+                _acc(bias, g.sum(axis=(0, 1)))
         out._backward = back
     return out
 

@@ -3,7 +3,7 @@ import pytest
 
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import ShapeError, Tensor, gradients, reverse, slice_axis
+from attention_mamba.tensor_core import ShapeError, Tensor, gradients, matmul, reverse, slice_axis
 from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
@@ -27,24 +27,22 @@ def naive_scan(u, delta, A, B, C, D):
 
 def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
     """The scan built from per-token tape ops, about a dozen nodes per token.
-    It slices exact channel-major [B, C, N] copies of u and delta."""
-    u, delta = u.transpose_last2(), delta.transpose_last2()
-    batch, channels, n_tokens = u.data.shape
+    Its state is channels-last, [B, S, C], as the fused node's is."""
+    batch, n_tokens, channels = u.data.shape
     state_dim = A.data.shape[1]
-    d_col = D_skip.reshape(channels, 1)
-    h = Tensor(np.zeros((batch, channels, state_dim), dtype=u.data.dtype))
+    a_t = A.transpose_last2()                      # [S, C]
+    h = Tensor(np.zeros((batch, state_dim, channels), dtype=u.data.dtype))
     outputs = []
     for t in range(n_tokens):
-        delta_t = slice_axis(delta, 2, t, t + 1)   # [B, C, 1]
-        u_t = slice_axis(u, 2, t, t + 1)           # [B, C, 1]
-        b_t = slice_axis(B_ssm, 1, t, t + 1)       # [B, 1, S]
+        delta_t = slice_axis(delta, 1, t, t + 1)   # [B, 1, C]
+        u_t = slice_axis(u, 1, t, t + 1)           # [B, 1, C]
+        b_t = slice_axis(B_ssm, 1, t, t + 1).reshape(batch, state_dim, 1)
         c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
-        decay = (delta_t * A).exp()                # [B, C, S]
-        drive = (delta_t * u_t) * b_t              # [B, C, S]
+        decay = (delta_t * a_t).exp()              # [B, S, C]
+        drive = (delta_t * u_t) * b_t              # [B, S, C]
         h = decay * h + drive
-        y_t = (h * c_t).sum(axis=-1, keepdims=True) + d_col * u_t
-        outputs.append(y_t)
-    return concatenate(outputs, axis=2).transpose_last2()
+        outputs.append(matmul(c_t, h) + D_skip * u_t)
+    return concatenate(outputs, axis=1)
 
 
 def tape_nodes(out):
@@ -313,17 +311,17 @@ class TestBidirectional:
     @pytest.mark.parametrize("n_tokens", [7, 21])
     def test_every_output_token_sees_every_input_token(self, n_tokens):
         # float64 gradients: a structurally unreachable input token gets an
-        # exact zero, and every reachable one a non-zero gradient. Each output
-        # token gets its own graph: a second sweep over a graph would add to
-        # the gradients its inner nodes kept from the first.
+        # exact zero, and every reachable one a non-zero gradient. All output
+        # tokens share one forward graph: each sweep leaves its interior
+        # nodes without gradients, so the next one starts clean.
         p_fwd = tiny_params(8, n_tokens, seed=1)
         p_bwd = tiny_params(8, n_tokens, seed=2)
         x = Tensor(np.random.default_rng(5).standard_normal((1, n_tokens, 8)), requires_grad=True)
         probe = np.random.default_rng(6).standard_normal(x.data.shape)
+        out = bidirectional_mamba(x, p_fwd, p_bwd)
         for i in range(n_tokens):
             mask = np.zeros_like(probe)
             mask[:, i, :] = probe[:, i, :]
-            out = bidirectional_mamba(x, p_fwd, p_bwd)
             (grad,) = gradients((out * Tensor(mask)).sum(), [x])
             seen = np.abs(grad[0]).max(axis=1) > 0
             assert seen.all(), f"output token {i} misses input tokens {np.flatnonzero(~seen)}"

@@ -154,6 +154,19 @@ class TestForward:
         out2 = tiny_model(seed=5).forward(x)[0].data
         assert np.array_equal(out1, out2)
 
+    def test_float32_forward_tracks_float64_copy(self):
+        # the same weights, rounded to float32, run at both precisions
+        shape = dict(n_variates=21, lookback=96, horizon=96, embed_dim=128)
+        single = AttentionMambaModel(ModelConfig(**shape), np.random.default_rng(0))
+        double = AttentionMambaModel(ModelConfig(**shape, precision="64"), np.random.default_rng(0))
+        for (_, p32), (_, p64) in zip(single.named_parameters(), double.named_parameters()):
+            p64.data = p32.data.astype(np.float64)
+        x = np.random.default_rng(1).standard_normal((4, 96, 21)).astype(np.float32)
+        got = single.forward(x)[0].data
+        want = double.forward(x.astype(np.float64))[0].data
+        assert got.dtype == np.float32
+        assert rel_error(got, want) < 1e-6
+
     def test_training_graph_leaves_no_reference_cycles(self):
         # A node whose backward refers to the node itself is a cycle; it keeps
         # the node's whole upstream graph alive until the cyclic collector runs.

@@ -17,7 +17,7 @@ from attention_mamba.tensor_core import (
     slice_axis,
     softmax_last,
 )
-from helpers import concatenate, gradcheck, rel_error
+from helpers import concatenate, conv1d_per_tap, gradcheck, rel_error
 
 RNG = np.random.default_rng(7)
 
@@ -107,6 +107,28 @@ class TestBackward:
         backward(terms[0] + terms[1] if add_first else terms[1] + terms[0])
         np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
         np.testing.assert_array_equal(y.grad, np.ones(3))
+
+    def test_gradients_twice_on_one_graph_agree(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = (x * x).sum()
+        np.testing.assert_array_equal(gradients(loss, [x])[0], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(gradients(loss, [x])[0], [2.0, 2.0, 2.0])
+
+    def test_interior_nodes_release_their_gradients(self):
+        x = Tensor(rand(4, 3), requires_grad=True)
+        w = Tensor(rand(3, 2), requires_grad=True)
+        loss = softmax_last(matmul(x, w).gelu()).sum() * 0.5
+        gradients(loss, [x, w])
+        seen, stack, interior = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._prev:
+                seen.add(id(node))
+                interior.append(node)
+                stack.extend(node._prev)
+        assert len(interior) == 5
+        assert all(node.grad is None for node in interior)
+        assert x.grad is not None and w.grad is not None
 
     def test_unreachable_parameter_gets_zero_gradient(self):
         x = Tensor(rand(2), requires_grad=True)
@@ -201,6 +223,21 @@ class TestCausalConv:
         weight = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         out = conv1d_depthwise_causal(x, weight, Tensor(np.array([0.5, 0.0])))
         np.testing.assert_array_equal(out.data, [[[0.5, 10.0], [1.5, 20.0], [2.5, 30.0], [3.5, 40.0]]])
+
+    @pytest.mark.parametrize("width", [1, 4, 9])
+    def test_windowed_matches_per_tap_loop(self, width):
+        # kernel width 1, narrower than the 9 tokens, and as wide as them
+        rng = np.random.default_rng(width)
+        arrays = [rng.standard_normal((3, 9, 5)), rng.standard_normal((5, width)),
+                  rng.standard_normal(5)]
+        probe = Tensor(rng.standard_normal((3, 9, 5)))
+        results = []
+        for conv in (conv1d_depthwise_causal, conv1d_per_tap):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = conv(*leaves)
+            results.append([out.data] + gradients((out * probe).sum(), leaves))
+        for name, got, want in zip(("output", "x", "weight", "bias"), *results):
+            assert rel_error(got, want) <= 1e-12, name
 
     def test_channel_major_input_rejected(self):
         # 3 channels and 5 tokens, laid out channel-major [B, C, N]
