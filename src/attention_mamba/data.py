@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def load_csv(path) -> RawSeries:
 
 
 def _parse_csv(path) -> RawSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)
         first = next(rows, None)
@@ -113,7 +113,7 @@ def _parse_csv(path) -> RawSeries:
     # Not usecols, which drops a ragged row's extra cells: timestamps parse as 0.
     try:
         out = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                         encoding="utf-8", skiprows=0 if names is None else header_lines,
+                         encoding="utf-8-sig", skiprows=0 if names is None else header_lines,
                          converters={0: lambda _: 0.0} if has_timestamp else None)
     except ValueError:
         out = None
@@ -126,7 +126,7 @@ def _parse_csv(path) -> RawSeries:
 
 def _scan_cells(path, skip: int, first_col: int, width: int) -> np.ndarray:
     """Parse the rows after `skip` with float() per cell; name the first bad one."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row][skip:]
     out = np.zeros((len(rows), first_col + width), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -279,16 +279,7 @@ def fit_apply_scaler(ds: SplitDataset) -> SplitDataset:
     if end <= start:
         raise DataError("train range is empty; cannot fit a scaler")
     scaler = Scaler.fit(ds.values[start:end])
-    return SplitDataset(
-        values=scaler.transform(ds.values),
-        names=ds.names,
-        lookback=ds.lookback,
-        horizon=ds.horizon,
-        train_range=ds.train_range,
-        val_range=ds.val_range,
-        test_range=ds.test_range,
-        scaler=scaler,
-    )
+    return replace(ds, values=scaler.transform(ds.values), scaler=scaler)
 
 
 # --------------------------------------------------------------------------

@@ -100,15 +100,12 @@ class AttentionMambaModel:
         self.revin = RevIN(config.n_variates, dtype=dtype)
         self.embed = LinearLayer.init(config.lookback, config.embed_dim, rng, dtype)
         self.attn = PooledAttentionParams.init(config.n_variates, config.embed_dim, rng, dtype)
-        self.mamba_fwd = MambaParams.init(
-            config.embed_dim, config.n_variates, rng,
-            expansion=config.expansion, conv_width=config.conv_width,
-            state_dim=config.state_dim, dtype=dtype,
-        )
-        self.mamba_bwd = MambaParams.init(
-            config.embed_dim, config.n_variates, rng,
-            expansion=config.expansion, conv_width=config.conv_width,
-            state_dim=config.state_dim, dtype=dtype,
+        # forward direction drawn first, then backward
+        self.mamba_fwd, self.mamba_bwd = (
+            MambaParams.init(config.embed_dim, config.n_variates, rng,
+                             expansion=config.expansion, conv_width=config.conv_width,
+                             state_dim=config.state_dim, dtype=dtype)
+            for _ in range(2)
         )
         self.head = LinearLayer.init(config.embed_dim, config.horizon, rng, dtype)
 

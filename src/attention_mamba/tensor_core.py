@@ -26,7 +26,6 @@ it on; only leaves keep ``.grad``.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterable
@@ -73,7 +72,7 @@ class NonPositiveStepError(ValueError):
 # multiply-accumulate counting (used by the complexity benchmark)
 
 class MacCounter:
-    """Accumulates multiply-accumulate counts of matmul/affine/conv ops."""
+    """Accumulates multiply-accumulate counts of matmul/affine/conv/scan ops."""
 
     __slots__ = ("total",)
 
@@ -81,37 +80,29 @@ class MacCounter:
         self.total = 0
 
 
-_mac_state = threading.local()
-
-
-def _mac_stack() -> list:
-    stack = getattr(_mac_state, "stack", None)
-    if stack is None:
-        stack = []
-        _mac_state.stack = stack
-    return stack
+_live_counters: list[MacCounter] = []
 
 
 @contextmanager
 def count_macs():
     """Count multiply-accumulates of contraction ops run inside the block.
 
-    Counters nest; an inner block also feeds any enclosing counter.
+    What counts: the forward contractions of matmul, affine, the causal
+    convolution and the selective scan (its state update and its readout).
+    Pooling, elementwise ops and every backward pass do not count. Counters
+    nest; an inner block also feeds any enclosing counter.
     """
     counter = MacCounter()
-    stack = _mac_stack()
-    stack.append(counter)
+    _live_counters.append(counter)
     try:
         yield counter
     finally:
-        stack.remove(counter)
+        _live_counters.remove(counter)
 
 
 def _add_macs(n: int) -> None:
-    stack = getattr(_mac_state, "stack", None)
-    if stack:
-        for counter in stack:
-            counter.total += n
+    for counter in _live_counters:
+        counter.total += n
 
 
 # --------------------------------------------------------------------------
@@ -126,8 +117,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -137,18 +128,6 @@ class Tensor:
         self._backward = None
 
     # -- basic introspection ------------------------------------------------
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -217,17 +196,6 @@ class Tensor:
         return out
 
     # -- shape ops ----------------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        out = _node(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, g.reshape(old))
-            out._backward = back
-        return out
 
     def transpose_last2(self) -> "Tensor":
         """Swap the two trailing axes; materializes a contiguous copy."""
@@ -322,10 +290,10 @@ class Tensor:
 # --------------------------------------------------------------------------
 # internals
 
-def _as_tensor(x, like: "Tensor | None" = None) -> Tensor:
+def _as_tensor(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    if like is not None and isinstance(x, (int, float)):
+    if isinstance(x, (int, float)):
         return Tensor(np.asarray(x, dtype=like.data.dtype))
     return Tensor(np.asarray(x, dtype=np.float64))
 
@@ -368,13 +336,9 @@ def _axis_count(shape: tuple, axis) -> int:
 
 def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
     """Broadcast a reduced gradient back over the reduced axes."""
-    if axis is None:
-        return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
-    if not keepdims:
+    if axis is not None and not keepdims:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
+        g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
     return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
 
 
@@ -387,8 +351,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Leading batch extents must agree or broadcast from 1. Counts M*K*P
     multiply-accumulates per batch element when a counter is active.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -544,8 +506,11 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     the reverse recurrence
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
     and reads the gradients of all six inputs off dh and h in closed form,
-    by matmuls and einsums over S. The readout by matmul sums over S in
-    BLAS order, so outputs differ from a multiply-then-sum at rounding level.
+    by matmuls and einsums over S. It forms all six on every run, since the
+    model trains every input; an input without requires_grad gets no .grad.
+    The readout by matmul sums over S in BLAS order, so outputs differ from
+    a multiply-then-sum at rounding level. The forward counts 2*N*B*S*C
+    multiply-accumulates: the state update and the readout.
     """
     batch, n_tokens, channels = u.data.shape
     state_dim = A.data.shape[1]
@@ -585,18 +550,17 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         np.matmul(c_n[lo:hi], h[lo:hi], out=y[lo:hi])
     y = y[:, :, 0]
     y += D_skip.data * u_n
+    _add_macs(2 * n_tokens * batch * state_dim * channels)
     out = _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs)
     if out.requires_grad:
         def back(g):
             g_n = g.transpose(1, 0, 2)
-            need_dh_b = u.requires_grad or delta.requires_grad
-            need_log = delta.requires_grad or A.requires_grad
             # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
-            dh_b = np.empty((n_tokens, batch, 1, channels), dtype) if need_dh_b else None
-            d_log = np.empty_like(delta_u) if delta.requires_grad else None
-            d_a = np.zeros_like(a_t, dtype=dtype) if A.requires_grad else None
-            d_b = np.empty((n_tokens, batch, state_dim, 1), dtype) if B_ssm.requires_grad else None
-            d_c = np.empty((n_tokens, batch, state_dim, 1), dtype) if C_ssm.requires_grad else None
+            dh_b = np.empty((n_tokens, batch, 1, channels), dtype)
+            d_log = np.empty_like(delta_u)
+            d_a = np.zeros_like(a_t, dtype=dtype)
+            d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
+            d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
             dh_slab = np.empty_like(slab)
             carry_slab = np.empty_like(slab)
             carry = np.zeros(h.shape[1:], dtype)                       # decay_{t+1} * dh_{t+1}
@@ -608,24 +572,17 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
                     dh[t] += carry
                     carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
                 carry = carry.copy()   # it is carry_slab[0], overwritten below
-                if need_dh_b:
-                    np.matmul(b_n[lo:hi], dh, out=dh_b[lo:hi])
-                if d_b is not None:
-                    np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
-                if d_c is not None:
-                    np.matmul(h[lo:hi], g_n[lo:hi, :, :, None], out=d_c[lo:hi])
-                if need_log:
-                    # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
-                    log_grad = carry_slab[:k]
-                    first = 1 if lo == 0 else 0
-                    log_grad[:first] = 0
-                    log_grad[first:] *= h[lo + first - 1:hi - 1]
-                    if d_log is not None:
-                        np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
-                    if d_a is not None:
-                        d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
-            if need_dh_b:
-                dh_b = dh_b[:, :, 0]
+                np.matmul(b_n[lo:hi], dh, out=dh_b[lo:hi])
+                np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
+                np.matmul(h[lo:hi], g_n[lo:hi, :, :, None], out=d_c[lo:hi])
+                # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
+                log_grad = carry_slab[:k]
+                first = 1 if lo == 0 else 0
+                log_grad[:first] = 0
+                log_grad[first:] *= h[lo + first - 1:hi - 1]
+                np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
+                d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
+            dh_b = dh_b[:, :, 0]
             if delta.requires_grad:
                 _acc(delta, (u_n * dh_b + d_log).transpose(1, 0, 2))
             if A.requires_grad:

@@ -56,6 +56,10 @@ ODD_CSVS = {
     "header_name_nan": ("load,nan\n1.0,2.0\n", ([[1.0, 2.0]], ["load", "nan"])),
     "nan_first_data_cell": ("nan,1.0\n2.0,3.0\n",
                             (NonNumericCellError, "non-finite cell 'nan' at row 1, column 1")),
+    # a leading byte-order mark, as spreadsheet programs write it
+    "bom_numeric": ("\ufeff1.0,2.0\n3.0,4.0\n", ([[1.0, 2.0], [3.0, 4.0]], ["v0", "v1"])),
+    "bom_header": ("\ufeffa,b\n1,2\n", ([[1.0, 2.0]], ["a", "b"])),
+    "bom_ragged": ("\ufeff1.0,2.0\n3.0\n", (RaggedRowError, "row 2 has 1 values, expected 2")),
 }
 
 

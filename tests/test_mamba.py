@@ -36,7 +36,7 @@ def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
     for t in range(n_tokens):
         delta_t = slice_axis(delta, 1, t, t + 1)   # [B, 1, C]
         u_t = slice_axis(u, 1, t, t + 1)           # [B, 1, C]
-        b_t = slice_axis(B_ssm, 1, t, t + 1).reshape(batch, state_dim, 1)
+        b_t = slice_axis(B_ssm, 1, t, t + 1).transpose_last2()   # [B, S, 1]
         c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
         decay = (delta_t * a_t).exp()              # [B, S, C]
         drive = (delta_t * u_t) * b_t              # [B, S, C]

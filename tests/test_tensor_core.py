@@ -14,6 +14,7 @@ from attention_mamba.tensor_core import (
     matmul,
     pool_window_bounds,
     reverse,
+    selective_scan,
     slice_axis,
     softmax_last,
 )
@@ -164,7 +165,6 @@ PRIMITIVE_CASES = [
     ("scalar_ops", lambda a: a * 1.5 + 0.25, lambda: [rand(3, 4)]),
     ("matmul", matmul, lambda: [rand(2, 3, 4), rand(2, 4, 5)]),
     ("transpose_last2", lambda a: a.transpose_last2(), lambda: [rand(2, 3, 4)]),
-    ("reshape", lambda a: a.reshape(6, 2), lambda: [rand(3, 4)]),
     ("concatenate", lambda a, b: concatenate([a, b], axis=1), lambda: [rand(2, 3), rand(2, 2)]),
     ("slice", lambda a: slice_axis(a, 1, 1, 3), lambda: [rand(2, 5)]),
     ("reverse", lambda a: reverse(a, 1), lambda: [rand(2, 5)]),
@@ -304,6 +304,12 @@ class TestMacCounter:
         with count_macs() as c:
             conv1d_depthwise_causal(Tensor(rand(2, 5, 3)), Tensor(rand(3, 2)), Tensor(rand(3)))
         assert c.total == 2 * 3 * 5 * 2
+        # u, delta [B=2, N=5, C=3], A [C, S=4]: a state update and a readout per state element
+        with count_macs() as c:
+            selective_scan(Tensor(rand(2, 5, 3)), Tensor(rand(2, 5, 3, lo=0.1, hi=1.0)),
+                           Tensor(rand(3, 4, lo=-2.0, hi=-0.1)), Tensor(rand(2, 5, 4)),
+                           Tensor(rand(2, 5, 4)), Tensor(rand(3)))
+        assert c.total == 2 * 5 * 2 * 4 * 3
 
     def test_counters_nest(self):
         with count_macs() as outer:
@@ -312,6 +318,16 @@ class TestMacCounter:
                 matmul(Tensor(rand(2, 2)), Tensor(rand(2, 2)))
         assert inner.total == 8
         assert outer.total == 16
+
+    def test_counter_stops_when_its_block_raises(self):
+        with pytest.raises(ShapeError):
+            with count_macs() as c:
+                matmul(Tensor(rand(2, 2)), Tensor(rand(2, 2)))
+                matmul(Tensor(rand(2, 2)), Tensor(rand(3, 2)))
+        with count_macs() as after:
+            matmul(Tensor(rand(2, 2)), Tensor(rand(2, 2)))
+        assert c.total == 8
+        assert after.total == 8
 
     def test_inactive_by_default(self):
         out = matmul(Tensor(rand(2, 2)), Tensor(rand(2, 2)))
