@@ -14,6 +14,9 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 ZERO_VARIANCE_EPS = 1e-8
+SPLIT_RATIOS = (0.7, 0.1, 0.2)   # chronological train/val/test shares
+SYNTHETIC_FREQUENCIES = (0.005, 0.01, 0.02)   # cycles per timestep
+SYNTHETIC_NOISE_STD = 0.05
 
 
 class DataError(ValueError):
@@ -248,20 +251,15 @@ class SplitDataset:
         return make_windows(self.values, self.lookback, self.horizon, self.range_of(split))
 
 
-def split_series(series: RawSeries, lookback: int, horizon: int,
-                 ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> SplitDataset:
-    """Carve chronological train/val/test ranges by the given ratios."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or ratios[0] <= 0:
-        raise DataError(f"split ratios must be three non-negatives with train > 0, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-6:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
+def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset:
+    """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)."""
     total = series.timesteps
     if total < lookback + horizon:
         raise DataError(
             f"series has {total} timesteps, need at least lookback+horizon={lookback + horizon}"
         )
-    n_train = int(total * ratios[0])
-    n_val = int(total * ratios[1])
+    n_train = int(total * SPLIT_RATIOS[0])
+    n_val = int(total * SPLIT_RATIOS[1])
     return SplitDataset(
         values=series.values.copy(),
         names=list(series.names),
@@ -287,12 +285,10 @@ def fit_apply_scaler(ds: SplitDataset) -> SplitDataset:
 
 @dataclass
 class SyntheticSpec:
-    """Sum-of-sinusoids generator settings."""
+    """Settings of a mix of ``SYNTHETIC_FREQUENCIES`` plus ``SYNTHETIC_NOISE_STD`` noise."""
 
     n_variates: int = 8
     timesteps: int = 2000
-    frequencies: tuple = (0.005, 0.01, 0.02)   # cycles per timestep
-    noise_std: float = 0.05
     seed: int = 2024
 
 
@@ -300,13 +296,11 @@ def generate_synthetic(spec: SyntheticSpec) -> RawSeries:
     """Seeded mixture of sinusoids plus Gaussian noise, one mix per variate."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.timesteps, dtype=np.float64)[:, None]
-    freqs = np.asarray(spec.frequencies, dtype=np.float64)
+    freqs = np.asarray(SYNTHETIC_FREQUENCIES, dtype=np.float64)
     amplitude = rng.uniform(0.5, 1.5, size=(len(freqs), spec.n_variates))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(len(freqs), spec.n_variates))
     values = np.zeros((spec.timesteps, spec.n_variates))
     for i, f in enumerate(freqs):
         values += amplitude[i] * np.sin(2.0 * np.pi * f * t + phase[i])
-    if spec.noise_std > 0:
-        values += rng.normal(0.0, spec.noise_std, size=values.shape)
-    names = [f"v{j}" for j in range(spec.n_variates)]
-    return RawSeries(values=values, names=names)
+    values += rng.normal(0.0, SYNTHETIC_NOISE_STD, size=values.shape)
+    return RawSeries(values=values, names=[f"v{j}" for j in range(spec.n_variates)])

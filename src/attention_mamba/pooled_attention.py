@@ -30,8 +30,6 @@ class PooledAttentionParams:
     @staticmethod
     def init(n_variates: int, embed_dim: int, rng: np.random.Generator,
              dtype=np.float32) -> "PooledAttentionParams":
-        if embed_dim % 4 != 0:
-            raise ValueError(f"embed dim must be divisible by 4, got {embed_dim}")
         quarter = embed_dim // 4
         return PooledAttentionParams(
             q_proj=LinearLayer.init(embed_dim, embed_dim, rng, dtype),

@@ -210,12 +210,12 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self) -> "Tensor":
+        out = _node(self.data.sum(), (self,))
         if out.requires_grad:
             shape = self.data.shape
             def back(g):
-                _acc(self, _spread(g, shape, axis, keepdims))
+                _acc(self, np.broadcast_to(g, shape))
             out._backward = back
         return out
 
@@ -291,11 +291,10 @@ class Tensor:
 # internals
 
 def _as_tensor(x, like: Tensor) -> Tensor:
+    """A constant operand, taken at the dtype of the Tensor it meets."""
     if isinstance(x, Tensor):
         return x
-    if isinstance(x, (int, float)):
-        return Tensor(np.asarray(x, dtype=like.data.dtype))
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _node(data: np.ndarray, parents: tuple) -> Tensor:

@@ -1,6 +1,8 @@
 """Adam optimization of MSE over batches gathered by window start, with seeded
-shuffling, gradient clipping, early stopping on validation loss, and
-divergence rollback to the best checkpoint seen so far.
+shuffling. The recipe is fixed by the constants below: Adam's betas and eps,
+every step's gradients clipped to global norm ``CLIP_NORM``, an early stop
+after ``PATIENCE`` epochs without a validation improvement, and divergence
+rollback to the best checkpoint seen so far.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ from .tensor_core import NonPositiveStepError, Tensor, gradients
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 5.0
+PATIENCE = 10
+
 
 class NonFiniteGradientError(RuntimeError):
     """A parameter gradient left the finite range; the step was aborted."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """The training loss or the validation MSE left the finite range."""
 
 
 @dataclass
@@ -27,9 +37,6 @@ class AdamState:
     """Bias-corrected Adam moments, one pair per named parameter."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -50,18 +57,18 @@ def adam_step(named_params, grads, state: AdamState) -> None:
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for (name, tensor), grad in zip(named_params, grads):
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(tensor.data.dtype)
+        tensor.data -= (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(tensor.data.dtype)
 
 
 def clip_global_norm(grads, max_norm: float) -> float:
@@ -76,24 +83,21 @@ def clip_global_norm(grads, max_norm: float) -> float:
 
 @dataclass
 class TrainRunConfig:
-    """Run settings; the model itself carries the numeric precision."""
+    """Run settings; the model carries the precision, the module constants the rest."""
 
     epochs: int
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 2024
-    patience: int = 10
-    clip_norm: float = 5.0   # 0 disables clipping
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ConfigError(f"lr must be a finite number > 0, got {lr!r}")
 
 
 @dataclass
@@ -144,10 +148,10 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     """Minimize MSE over the train windows, each batch gathered from the
     series cast once to the model dtype; deterministic for a fixed seed.
 
-    Keeps the best-validation checkpoint and restores it into the model on
-    exit. A non-finite loss or gradient, or a step size that underflowed
-    to zero (NonPositiveStepError from the scan), aborts with the last good
-    checkpoint and the result flagged as diverged.
+    Restores the best-validation checkpoint into the model on every exit. A
+    non-finite training loss, gradient or validation MSE, or a step size that
+    underflowed to zero (NonPositiveStepError from the scan), ends the run
+    flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
     """
     L, T = dataset.lookback, dataset.horizon
     starts = window_starts(dataset.values.shape[0], L, T, dataset.train_range)
@@ -168,11 +172,11 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     best_val = float("inf")
     best_epoch = -1
     bad_epochs = 0
+    diverged = False
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(starts))
-        sq_sum = 0.0
-        n_elem = 0
+        sq_sum, n_elem = 0.0, 0
         try:
             for i in range(0, len(order), cfg.batch_size):
                 s = starts[order[i:i + cfg.batch_size], None]
@@ -181,23 +185,22 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
                 loss = (diff * diff).mean()
                 loss_val = loss.item()
                 if not math.isfinite(loss_val):
-                    log.error("training diverged at epoch %d; restoring best checkpoint", epoch)
-                    _restore(model, best_params)
-                    return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
+                    raise NonFiniteLossError(f"non-finite training loss {loss_val}")
                 sq_sum += loss_val * diff.data.size
                 n_elem += diff.data.size
                 grads = gradients(loss, params)
-                if cfg.clip_norm > 0:
-                    clip_global_norm(grads, cfg.clip_norm)
+                clip_global_norm(grads, CLIP_NORM)
                 adam_step(named, grads, opt)
 
             train_mse = sq_sum / n_elem
             val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0] \
                 if val_windows else train_mse
-        except (NonFiniteGradientError, NonPositiveStepError) as exc:
-            log.error("%s; restoring best checkpoint", exc)
-            _restore(model, best_params)
-            return TrainResult(curve, best_epoch, best_val, best_params, diverged=True)
+            if not math.isfinite(val_mse):
+                raise NonFiniteLossError(f"non-finite validation MSE {val_mse}")
+        except (NonFiniteLossError, NonFiniteGradientError, NonPositiveStepError) as exc:
+            log.error("training diverged at epoch %d (%s); restoring best checkpoint", epoch, exc)
+            diverged = True
+            break
         curve.append((epoch, train_mse, val_mse))
 
         if val_mse < best_val:
@@ -207,13 +210,9 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                log.info("early stop at epoch %d (no val improvement for %d epochs)",
-                         epoch, cfg.patience)
-                _restore(model, best_params)
-                return TrainResult(curve, best_epoch, best_val, best_params,
-                                   stopped_early=True)
+            if bad_epochs >= PATIENCE:
+                log.info("early stop at epoch %d (no val improvement for %d epochs)", epoch, PATIENCE)
+                break
 
-    if best_epoch >= 0:
-        _restore(model, best_params)
-    return TrainResult(curve, best_epoch, best_val, best_params)
+    _restore(model, best_params)
+    return TrainResult(curve, best_epoch, best_val, best_params, diverged, bad_epochs >= PATIENCE)

@@ -3,7 +3,7 @@ import pytest
 
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import ShapeError, Tensor, gradients, matmul, reverse, slice_axis
+from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
 from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
@@ -119,7 +119,7 @@ class TestSelectiveScan:
     def test_nonpositive_delta_rejected(self):
         u, delta, a_mat, b, c, d = random_scan_inputs(RNG)
         delta[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositiveStepError):
             selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
 
     def test_gradients_vs_finite_differences(self):

@@ -251,5 +251,5 @@ class TestAttentionWeights:
         assert not np.allclose(w_perm.data, w_base.data[:, perm, :], atol=1e-8)
 
     def test_embed_dim_not_divisible_by_4_rejected(self):
-        with pytest.raises(ValueError):
-            make_params(5, 30)
+        with pytest.raises(ShapeError, match="multiple of 4"):
+            attention_weights(Tensor(RNG.standard_normal((1, 5, 30))), make_params(5, 30))

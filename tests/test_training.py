@@ -190,11 +190,34 @@ class TestTrain:
     def test_divergence_restores_best_checkpoint(self):
         model = tiny_model(precision="32")
         before = {n: t.data.copy() for n, t in model.named_parameters()}
-        result = train(model, tiny_dataset(),
-                       TrainRunConfig(epochs=50, batch_size=16, lr=1e30, clip_norm=0.0))
-        assert result.diverged
+        result = train(model, tiny_dataset(), TrainRunConfig(epochs=50, batch_size=16, lr=1e30))
+        # the first epoch already diverges, so the best checkpoint is the initial one
+        assert result.diverged and not result.stopped_early
+        assert result.curve == [] and result.best_epoch == -1
         for name, t in model.named_parameters():
-            assert np.all(np.isfinite(t.data)), name
+            np.testing.assert_array_equal(t.data, before[name])
+
+    # fewer epochs than PATIENCE, so a NaN epoch can never count as a stale one
+    @pytest.mark.parametrize("nan_from", [0, 1])
+    def test_non_finite_validation_rolls_back_as_divergence(self, monkeypatch, nan_from):
+        ds = tiny_dataset()
+        good = tiny_model()   # the same seeded run, stopped before its first NaN epoch
+        train(good, ds, TrainRunConfig(epochs=nan_from, batch_size=16))
+        evaluate = training.evaluate_mse_mae
+        calls = []
+
+        def nan_late(*args):
+            calls.append(None)
+            return evaluate(*args) if len(calls) <= nan_from else (math.nan, math.nan)
+
+        monkeypatch.setattr(training, "evaluate_mse_mae", nan_late)
+        model = tiny_model()
+        result = train(model, ds, TrainRunConfig(epochs=5, batch_size=16))
+        assert result.diverged and not result.stopped_early
+        assert len(result.curve) == nan_from and result.best_epoch == nan_from - 1
+        for (name, t), (_, ref) in zip(model.named_parameters(), good.named_parameters()):
+            np.testing.assert_array_equal(t.data, ref.data, err_msg=name)
+            np.testing.assert_array_equal(result.best_params[name], ref.data, err_msg=name)
 
     def test_underflowed_step_size_rolls_back(self):
         # softplus(-200) is 0.0 in float32, so the scan sees a zero step size
@@ -214,9 +237,10 @@ class TestTrain:
         series = RawSeries(values=rng.standard_normal((80, 3)), names=["a", "b", "c"])
         ds = fit_apply_scaler(split_series(series, 8, 4))
         model = tiny_model()
-        result = train(model, ds, TrainRunConfig(epochs=40, batch_size=16, patience=3))
-        assert result.stopped_early
+        result = train(model, ds, TrainRunConfig(epochs=40, batch_size=16))
+        assert result.stopped_early and not result.diverged
         assert len(result.curve) < 40
+        assert len(result.curve) - 1 - result.best_epoch == training.PATIENCE
 
     def test_best_checkpoint_retained_and_restored(self):
         model = tiny_model()
@@ -228,12 +252,20 @@ class TestTrain:
         assert abs(result.best_val - min(vals)) < 1e-12
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainRunConfig(epochs=-1)
-        with pytest.raises(ConfigError):
-            TrainRunConfig(epochs=1, batch_size=0)
-        with pytest.raises(ConfigError):
-            TrainRunConfig(epochs=1, lr=0.0)
+        # the smallest accepted value of each field
+        cfg = TrainRunConfig(epochs=0, batch_size=1, lr=1e-12, seed=0)
+        assert (cfg.epochs, cfg.batch_size, cfg.lr, cfg.seed) == (0, 1, 1e-12, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1), ("epochs", 1.5), ("epochs", True),
+        ("batch_size", 0), ("batch_size", 2.0), ("batch_size", False),
+        ("seed", -1), ("seed", 3.0),
+        ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf), ("lr", "1e-3"),
+    ])
+    def test_config_rejects_bad_value(self, field, value):
+        kwargs = {"epochs": 1, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            TrainRunConfig(**kwargs)
 
 
 class TestEvaluate:
