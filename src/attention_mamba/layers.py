@@ -64,9 +64,9 @@ class RevIN:
             raise ShapeError(f"normalize expects [B, L, N], got {x.data.shape}")
         if x.data.shape[1] < 2:
             raise ShapeError(f"lookback length must be >= 2, got {x.data.shape[1]}")
-        mu = x.mean(axis=1, keepdims=True)
+        mu = x.mean(axis=1)
         centered = x - mu
-        sigma = ((centered * centered).mean(axis=1, keepdims=True) + REVIN_EPS).sqrt()
+        sigma = ((centered * centered).mean(axis=1) + REVIN_EPS).sqrt()
         out = centered / sigma * self.gamma + self.beta
         return out, RevInState(mu=mu, sigma=sigma)
 

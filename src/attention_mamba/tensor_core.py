@@ -20,7 +20,8 @@ arrays instead of looping over them. The causal depthwise convolution is
 one contraction over a window view, forward and backward.
 
 ``backward`` frees each interior node's gradient once the node has passed
-it on; only leaves keep ``.grad``.
+it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
+tape: outputs are constants, so a forward holds only its live arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "gradients",
     "count_macs",
     "MacCounter",
+    "no_grad",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -69,7 +71,7 @@ class NonPositiveStepError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# multiply-accumulate counting (used by the complexity benchmark)
+# module-level switches: multiply-accumulate counting and no_grad
 
 class MacCounter:
     """Accumulates multiply-accumulate counts of matmul/affine/conv/scan ops."""
@@ -81,6 +83,7 @@ class MacCounter:
 
 
 _live_counters: list[MacCounter] = []
+_grad_enabled = True   # False inside no_grad(): ops then record no tape
 
 
 @contextmanager
@@ -103,6 +106,17 @@ def count_macs():
 def _add_macs(n: int) -> None:
     for counter in _live_counters:
         counter.total += n
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; nests, and restores on exit or error."""
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
 
 
 # --------------------------------------------------------------------------
@@ -219,13 +233,14 @@ class Tensor:
             out._backward = back
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _node(self.data.mean(axis=axis, keepdims=keepdims), (self,))
+    def mean(self, axis: int | None = None) -> "Tensor":
+        """Mean of all elements, or along one axis, which is kept."""
+        out = _node(self.data.mean(axis=axis, keepdims=axis is not None), (self,))
         if out.requires_grad:
             shape = self.data.shape
-            count = self.data.size if axis is None else _axis_count(shape, axis)
+            count = self.data.size if axis is None else shape[axis]
             def back(g):
-                _acc(self, _spread(g, shape, axis, keepdims) / count)
+                _acc(self, np.broadcast_to(g, shape) / count)
             out._backward = back
         return out
 
@@ -301,7 +316,7 @@ def _node(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out._prev = parents if out.requires_grad else ()
     out._backward = None
     return out
@@ -325,20 +340,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _axis_count(shape: tuple, axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    return int(np.prod([shape[a] for a in axis]))
-
-
-def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduced gradient back over the reduced axes."""
-    if axis is not None and not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
-    return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
 
 
 # --------------------------------------------------------------------------

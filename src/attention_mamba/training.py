@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import DataError, SplitDataset, WindowSample, window_starts
 from .model import AttentionMambaModel, ConfigError
-from .tensor_core import NonPositiveStepError, Tensor, gradients
+from .tensor_core import NonPositiveStepError, Tensor, gradients, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +71,11 @@ def adam_step(named_params, grads, state: AdamState) -> None:
         tensor.data -= (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(tensor.data.dtype)
 
 
-def clip_global_norm(grads, max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= max_norm."""
+def clip_global_norm(grads) -> float:
+    """Scale gradients in place to global L2 norm <= CLIP_NORM; returns the norm before."""
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for g in grads:
             g *= scale
     return total
@@ -125,7 +125,8 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
 
     Errors are taken in float64 from the model-dtype predictions and summed
     across batches, so the result is the MSE and MAE of those predictions to
-    float64 rounding and does not depend on ``batch_size``.
+    float64 rounding and does not depend on ``batch_size``. The forwards run
+    under ``no_grad``, so they build no tape and leave every ``.grad`` as it was.
     """
     if not windows:
         return float("nan"), float("nan")
@@ -134,13 +135,31 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     count = 0
     for i in range(0, len(windows), batch_size):
         batch = windows[i:i + batch_size]
-        yhat = model.forward(np.stack([w.x for w in batch]).astype(model.config.dtype))[0].data
+        with no_grad():
+            yhat = model.forward(np.stack([w.x for w in batch]).astype(model.config.dtype))[0].data
         ys = np.stack([w.y for w in batch]).astype(model.config.dtype)
         err = yhat.astype(np.float64) - ys.astype(np.float64)
         sq += float((err**2).sum())
         ab += float(np.abs(err).sum())
         count += err.size
     return sq / count, ab / count
+
+
+def _train_step(model: AttentionMambaModel, named, opt: AdamState,
+                x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
+    """One clipped Adam step on the MSE of batch (x, y); returns the loss and
+    its element count. The step's graph is held by this frame alone, so it
+    is freed on return, before the next step's forward builds another."""
+    yhat, _ = model.forward(x)
+    diff = yhat - Tensor(y)
+    loss = (diff * diff).mean()
+    loss_val = loss.item()
+    if not math.isfinite(loss_val):
+        raise NonFiniteLossError(f"non-finite training loss {loss_val}")
+    grads = gradients(loss, [t for _, t in named])
+    clip_global_norm(grads)
+    adam_step(named, grads, opt)
+    return loss_val, diff.data.size
 
 
 def train(model: AttentionMambaModel, dataset: SplitDataset,
@@ -152,6 +171,8 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     non-finite training loss, gradient or validation MSE, or a step size that
     underflowed to zero (NonPositiveStepError from the scan), ends the run
     flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
+    Each step's graph dies with the frame of ``_train_step``, so one tape is
+    alive at a time, and the validation pass builds none.
     """
     L, T = dataset.lookback, dataset.horizon
     starts = window_starts(dataset.values.shape[0], L, T, dataset.train_range)
@@ -163,7 +184,6 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
 
     values = np.asarray(dataset.values, dtype=model.config.dtype)
     named = model.named_parameters()
-    params = [t for _, t in named]
     opt = AdamState.init(named, cfg.lr)
     rng = np.random.default_rng([cfg.seed, 1])
 
@@ -180,17 +200,10 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
         try:
             for i in range(0, len(order), cfg.batch_size):
                 s = starts[order[i:i + cfg.batch_size], None]
-                yhat, _ = model.forward(values[s + np.arange(L)])
-                diff = yhat - Tensor(values[s + np.arange(L, L + T)])
-                loss = (diff * diff).mean()
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise NonFiniteLossError(f"non-finite training loss {loss_val}")
-                sq_sum += loss_val * diff.data.size
-                n_elem += diff.data.size
-                grads = gradients(loss, params)
-                clip_global_norm(grads, CLIP_NORM)
-                adam_step(named, grads, opt)
+                loss_val, n = _train_step(model, named, opt, values[s + np.arange(L)],
+                                          values[s + np.arange(L, L + T)])
+                sq_sum += loss_val * n
+                n_elem += n
 
             train_mse = sq_sum / n_elem
             val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0] \

@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from attention_mamba.model import (
     save_checkpoint,
     save_model,
 )
-from attention_mamba.tensor_core import ShapeError, Tensor, gradients, slice_axis
+from attention_mamba.tensor_core import ShapeError, Tensor, gradients, no_grad, slice_axis
 from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(41)
@@ -153,6 +153,17 @@ class TestForward:
         out1 = tiny_model(seed=5).forward(x)[0].data
         out2 = tiny_model(seed=5).forward(x)[0].data
         assert np.array_equal(out1, out2)
+
+    @pytest.mark.parametrize("precision", ["32", "64"])
+    def test_no_grad_forward_is_bit_identical(self, precision):
+        model = tiny_model(seed=6, config=replace(TINY, precision=precision))
+        x = RNG.standard_normal((2, 8, 3))
+        with no_grad():
+            quiet = model.forward(x)[0]
+        taped = model.forward(x)[0]
+        assert taped.requires_grad and not quiet.requires_grad and quiet._prev == ()
+        assert quiet.data.dtype == model.config.dtype
+        assert np.array_equal(quiet.data, taped.data)
 
     def test_float32_forward_tracks_float64_copy(self):
         # the same weights, rounded to float32, run at both precisions

@@ -12,6 +12,7 @@ from attention_mamba.tensor_core import (
     fuse_pool,
     gradients,
     matmul,
+    no_grad,
     pool_window_bounds,
     reverse,
     selective_scan,
@@ -181,7 +182,7 @@ PRIMITIVE_CASES = [
     ("reverse", lambda a: reverse(a, 1), lambda: [rand(2, 5)]),
     ("sum_all", lambda a: a.sum() * Tensor(1.0), lambda: [rand(3, 4)]),
     ("mean_all", lambda a: a.mean() * Tensor(1.0), lambda: [rand(3, 4)]),
-    ("mean_axis", lambda a: a.mean(axis=1, keepdims=True), lambda: [rand(3, 4, 2)]),
+    ("mean_axis", lambda a: a.mean(axis=1), lambda: [rand(3, 4, 2)]),
     ("exp", lambda a: a.exp(), lambda: [rand(3, 4)]),
     ("sqrt", lambda a: a.sqrt(), lambda: [rand(3, 4, lo=0.5, hi=2.0)]),
     ("silu", lambda a: a.silu(), lambda: [rand(3, 4)]),
@@ -208,6 +209,44 @@ def test_primitive_gradients(name, op, make):
 def test_primitives_finite_on_finite_inputs(name, op, make):
     out = op(*[Tensor(a) for a in make()])
     assert np.all(np.isfinite(out.data))
+
+
+@pytest.mark.parametrize("name,op,make", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitives_record_no_tape_under_no_grad(name, op, make):
+    leaves = [Tensor(a, requires_grad=True) for a in make()]
+    with no_grad():
+        out = op(*leaves)
+    assert not out.requires_grad and out._prev == () and out._backward is None
+    np.testing.assert_array_equal(out.data, op(*leaves).data)
+
+
+class TestNoGrad:
+    def test_scan_records_no_tape(self):
+        # u, delta [B=2, N=5, C=3], A [C, S=4], B/C [B, N, S], D [C]
+        arrays = [rand(2, 5, 3), rand(2, 5, 3, lo=0.1, hi=1.0), rand(3, 4, lo=-2.0, hi=-0.1),
+                  rand(2, 5, 4), rand(2, 5, 4), rand(3)]
+        with no_grad():
+            out = selective_scan(*[Tensor(a, requires_grad=True) for a in arrays])
+        assert not out.requires_grad and out._prev == () and out._backward is None
+
+    def test_nests_and_restores_after_an_error(self):
+        x = Tensor(rand(3), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (x * x).requires_grad
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(x, x)
+        assert (x * x).requires_grad
+
+    def test_gradients_work_after_the_block(self):
+        x = Tensor(rand(3, 4), requires_grad=True)
+        with no_grad():
+            (x * x).sum()
+        (g,) = gradients((x * x).sum(), [x])
+        np.testing.assert_array_equal(g, 2.0 * x.data)
 
 
 class TestReductionsAndRouting:

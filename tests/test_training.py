@@ -8,7 +8,7 @@ from attention_mamba import training
 
 from attention_mamba.data import RawSeries, SyntheticSpec, fit_apply_scaler, generate_synthetic, split_series
 from attention_mamba.model import AttentionMambaModel, ConfigError, ModelConfig
-from attention_mamba.tensor_core import Tensor
+from attention_mamba.tensor_core import Tensor, gradients
 from attention_mamba.training import (
     AdamState,
     NonFiniteGradientError,
@@ -86,14 +86,14 @@ class TestAdamStep:
 class TestClipping:
     def test_large_gradients_scaled_to_max_norm(self):
         grads = [np.full(4, 10.0), np.full(3, -10.0)]
-        clip_global_norm(grads, 5.0)
+        clip_global_norm(grads)
         total = math.sqrt(sum(float((g**2).sum()) for g in grads))
         assert abs(total - 5.0) < 1e-9
 
     def test_small_gradients_untouched(self):
         grads = [np.array([0.1, 0.2])]
         before = grads[0].copy()
-        clip_global_norm(grads, 5.0)
+        clip_global_norm(grads)
         np.testing.assert_array_equal(grads[0], before)
 
 
@@ -138,6 +138,29 @@ class TestTrain:
         assert result.curve == []
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
+
+    def test_one_step_graph_is_alive_at_a_time(self):
+        # One step's tape (~20 MB) outweighs the series and the parameters
+        # (<1 MB) here, so a second live tape, the previous step's or one
+        # built by the validation pass, lifts the run's peak toward 2x a step's.
+        rng = np.random.default_rng(3)
+        series = RawSeries(values=rng.standard_normal((350, 64)), names=[f"v{i}" for i in range(64)])
+        ds = fit_apply_scaler(split_series(series, 96, 96))
+        cfg = ModelConfig(n_variates=64, lookback=96, horizon=96, embed_dim=32)
+        model = AttentionMambaModel(cfg, rng)
+        batch = ds.windows("train")[:16]
+        x = np.stack([w.x for w in batch]).astype(np.float32)
+        y = np.stack([w.y for w in batch]).astype(np.float32)
+
+        def one_step():
+            diff = model.forward(x)[0] - Tensor(y)
+            gradients((diff * diff).mean(), model.parameters())
+
+        step = traced_peak(one_step)
+        run = traced_peak(lambda: train(model, ds, TrainRunConfig(epochs=1, batch_size=16)))
+        # 53 windows: four steps, then 35 validation windows
+        assert len(ds.windows("train")) == 53 and len(ds.windows("val")) == 35
+        assert run <= 1.25 * step
 
     def test_zero_epoch_memory_is_bounded_by_the_series(self):
         ds, model = wide_dataset_and_model()
@@ -284,6 +307,34 @@ class TestEvaluate:
             err = yhat.astype(np.float64) - ys.astype(np.float64)
             np.testing.assert_allclose(mse, (err**2).mean(), rtol=1e-9)
             np.testing.assert_allclose(mae, np.abs(err).mean(), rtol=1e-9)
+
+    def test_builds_no_tape_and_leaves_gradients_alone(self, monkeypatch):
+        model = tiny_model()
+        windows = tiny_dataset().windows("test")
+        xs = np.stack([w.x for w in windows]).astype(np.float32)
+        ys = np.stack([w.y for w in windows]).astype(np.float32).astype(np.float64)
+        # the sums evaluation took, batch by batch, when its forwards kept a tape
+        sq = ab = 0.0
+        for i in range(0, len(xs), 5):
+            err = model.forward(xs[i:i + 5])[0].data.astype(np.float64) - ys[i:i + 5]
+            sq += float((err**2).sum())
+            ab += float(np.abs(err).sum())
+        params = model.parameters()
+        gradients(model.forward(xs[:2])[0].sum(), params)
+        before = [(p.grad, p.grad.copy()) for p in params]
+        taped = []
+        forward = model.forward
+
+        def recording_forward(x):
+            out = forward(x)
+            taped.append(out[0].requires_grad)
+            return out
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        assert evaluate_mse_mae(model, windows, 5) == (sq / ys.size, ab / ys.size)
+        assert taped == [False] * 4
+        for p, (grad, copy) in zip(params, before):
+            assert p.grad is grad and np.array_equal(grad, copy)
 
     def test_memory_is_bounded_by_batches_not_windows(self):
         ds, model = wide_dataset_and_model()
