@@ -42,14 +42,6 @@ class RawSeries:
     values: np.ndarray          # [timesteps, N] float64
     names: list[str]
 
-    @property
-    def timesteps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_variates(self) -> int:
-        return self.values.shape[1]
-
 
 def _is_number(cell: str, finite: bool = False) -> bool:
     """Whether float() takes the cell; with finite, also whether the value is
@@ -223,9 +215,6 @@ class Scaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 @dataclass
 class SplitDataset:
@@ -253,7 +242,7 @@ class SplitDataset:
 
 def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset:
     """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)."""
-    total = series.timesteps
+    total = series.values.shape[0]
     if total < lookback + horizon:
         raise DataError(
             f"series has {total} timesteps, need at least lookback+horizon={lookback + horizon}"

@@ -12,7 +12,7 @@ One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
 the step size, input matrix and readout matrix of the recurrence, the
 selective scan itself, SiLU gating, and an output projection. Activations
-stay token-major from input to output: [B, N, C], with C = expansion * E
+stay token-major from input to output: [B, N, C], with C = EXPANSION * E
 channels, as the rest of the model lays out its tokens.
 
 The scan discretizes the continuous system with zero-order hold on the
@@ -42,6 +42,9 @@ from .tensor_core import (
 
 DT_INIT_MIN = 1e-3
 DT_INIT_MAX = 1e-1
+EXPANSION = 1      # channels C per embedding dimension
+CONV_WIDTH = 32    # taps K of the causal convolution, before clamping to N
+STATE_DIM = 16     # states S per channel
 
 
 @dataclass
@@ -62,25 +65,20 @@ class MambaParams:
         return self.out_proj.in_dim
 
     @property
-    def state_dim(self) -> int:
-        return self.A_log.data.shape[1]
-
-    @property
     def dt_rank(self) -> int:
         return self.dt_proj.in_dim
 
     @staticmethod
-    def init(embed_dim: int, n_tokens: int, rng: np.random.Generator, *,
-             expansion: int = 1, conv_width: int = 32, state_dim: int = 16,
+    def init(embed_dim: int, n_tokens: int, rng: np.random.Generator,
              dtype=np.float32) -> "MambaParams":
         """Build one direction's parameters.
 
         The convolution width is clamped to the token count; a kernel wider
         than the sequence would only add zero-padded taps.
         """
-        channels = expansion * embed_dim
+        channels = EXPANSION * embed_dim
         dt_rank = math.ceil(embed_dim / 16)
-        width = min(conv_width, n_tokens)
+        width = min(CONV_WIDTH, n_tokens)
 
         bound = 1.0 / math.sqrt(width)
         conv_weight = rng.uniform(-bound, bound, size=(channels, width)).astype(dtype)
@@ -91,13 +89,13 @@ class MambaParams:
         dt = np.exp(rng.uniform(math.log(DT_INIT_MIN), math.log(DT_INIT_MAX), size=channels))
         dt_proj.bias.data[:] = (dt + np.log(-np.expm1(-dt))).astype(dtype)
 
-        a_log = np.log(np.tile(np.arange(1, state_dim + 1, dtype=np.float64), (channels, 1)))
+        a_log = np.log(np.tile(np.arange(1, STATE_DIM + 1, dtype=np.float64), (channels, 1)))
 
         return MambaParams(
             in_proj=LinearLayer.init(embed_dim, 2 * channels, rng, dtype),
             conv_weight=Tensor(conv_weight, requires_grad=True),
             conv_bias=Tensor(conv_bias, requires_grad=True),
-            x_proj=LinearLayer.init(channels, dt_rank + 2 * state_dim, rng, dtype),
+            x_proj=LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng, dtype),
             dt_proj=dt_proj,
             A_log=Tensor(a_log.astype(dtype), requires_grad=True),
             D_skip=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
@@ -122,7 +120,6 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError(f"mamba expects [B, N, E], got {x.data.shape}")
     channels = p.channels
-    state_dim = p.state_dim
     dt_rank = p.dt_rank
 
     proj = linear(x, p.in_proj)                          # [B, N, 2C]
@@ -133,8 +130,8 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
 
     feats = linear(u, p.x_proj)                          # [B, N, dt_rank + 2S]
     dt_pre = slice_axis(feats, 2, 0, dt_rank)
-    b_ssm = slice_axis(feats, 2, dt_rank, dt_rank + state_dim)
-    c_ssm = slice_axis(feats, 2, dt_rank + state_dim, dt_rank + 2 * state_dim)
+    b_ssm = slice_axis(feats, 2, dt_rank, dt_rank + STATE_DIM)
+    c_ssm = slice_axis(feats, 2, dt_rank + STATE_DIM, dt_rank + 2 * STATE_DIM)
 
     delta = linear(dt_pre, p.dt_proj).softplus()       # [B, N, C]
     a_mat = -(p.A_log.exp())

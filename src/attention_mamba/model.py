@@ -13,15 +13,17 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .layers import LinearLayer, RevIN, linear
-from .mamba import MambaParams, bidirectional_mamba
-from .pooled_attention import AttentionTrace, PooledAttentionParams, attention_weights
+from .mamba import CONV_WIDTH, EXPANSION, STATE_DIM, MambaParams, bidirectional_mamba
+from .pooled_attention import PooledAttentionParams, attention_weights
 from .tensor_core import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"ATTNMAMBA1"
-# Every v1 config record holds this fixed entry, so that older readers load a
-# new file as the same function. A file that names the retired "fused-reverse"
-# scan form, or has no entry, computes another function and is refused.
-V1_SCAN_FORM = ("bidirectional_variant", "per-branch-reverse")
+# Every v1 config record holds these fixed entries, so that older readers load
+# a new file as the same function: the scan form and the Mamba sizes, which
+# were once config fields. A file with another value, such as the retired
+# "fused-reverse" scan form, or with an entry missing, is refused.
+V1_FIXED_ENTRIES = {"bidirectional_variant": "per-branch-reverse", "expansion": EXPANSION,
+                    "conv_width": CONV_WIDTH, "state_dim": STATE_DIM}
 
 
 class ConfigError(ValueError):
@@ -30,9 +32,9 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed: bad magic, cut short, bytes after the
-    last record, a tensor name given twice, a scan form other than the one
-    the model runs, or parameters that do not fit the model its config
-    describes."""
+    last record, a tensor name given twice, a fixed v1 entry missing or
+    other than the model runs, or parameters that do not fit the model its
+    config describes."""
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,10 @@ class ModelConfig:
     lookback: int
     horizon: int
     embed_dim: int
-    expansion: int = 1
-    conv_width: int = 32
-    state_dim: int = 16
     precision: str = "32"
 
     def __post_init__(self):
-        for name in ("n_variates", "lookback", "horizon", "embed_dim", "expansion",
-                     "conv_width", "state_dim"):
+        for name in ("n_variates", "lookback", "horizon", "embed_dim"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
@@ -83,10 +81,10 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Intermediates of one model forward pass: the forward's own arrays,
-    made read-only, not copies."""
+    """The three arrays of the fusion in one forward pass: the forward's own
+    arrays, made read-only, not copies."""
 
-    attention: AttentionTrace
+    weights: np.ndarray         # [B, N, E], pooled attention weights
     value: np.ndarray           # [B, N, E], bidirectional scan output
     weighted_value: np.ndarray  # [B, N, E], weights * value elementwise
 
@@ -102,10 +100,7 @@ class AttentionMambaModel:
         self.attn = PooledAttentionParams.init(config.n_variates, config.embed_dim, rng, dtype)
         # forward direction drawn first, then backward
         self.mamba_fwd, self.mamba_bwd = (
-            MambaParams.init(config.embed_dim, config.n_variates, rng,
-                             expansion=config.expansion, conv_width=config.conv_width,
-                             state_dim=config.state_dim, dtype=dtype)
-            for _ in range(2)
+            MambaParams.init(config.embed_dim, config.n_variates, rng, dtype) for _ in range(2)
         )
         self.head = LinearLayer.init(config.embed_dim, config.horizon, rng, dtype)
 
@@ -129,9 +124,9 @@ class AttentionMambaModel:
         """Forecast [B, T, N] from a lookback window [B, L, N]."""
         cfg = self.config
         data = np.asarray(x, dtype=cfg.dtype)
-        if data.ndim != 3 or data.shape[1] != cfg.lookback or data.shape[2] != cfg.n_variates:
+        if data.ndim != 3 or data.shape[0] < 1 or data.shape[1:] != (cfg.lookback, cfg.n_variates):
             raise ShapeError(
-                f"input must be [B, {cfg.lookback}, {cfg.n_variates}], got {data.shape}"
+                f"input must be [B, {cfg.lookback}, {cfg.n_variates}] with B >= 1, got {data.shape}"
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("input window contains non-finite values")
@@ -140,20 +135,16 @@ class AttentionMambaModel:
         tokens = normalized.transpose_last2()            # [B, N, L]
         embedded = linear(tokens, self.embed)            # [B, N, E]
 
-        weights, attn_trace = attention_weights(embedded, self.attn)
+        weights = attention_weights(embedded, self.attn)
         value = bidirectional_mamba(embedded, self.mamba_fwd, self.mamba_bwd)
         fused = weights * value                          # elementwise, [B, N, E]
 
         horizon_first = linear(fused, self.head).transpose_last2()   # [B, T, N]
         yhat = self.revin.denormalize(horizon_first, state)
-        for array in (value.data, fused.data):
+        kept = [t.data for t in (weights, value, fused)]
+        for array in kept:
             array.flags.writeable = False
-        return yhat, ForwardTrace(attention=attn_trace, value=value.data, weighted_value=fused.data)
-
-
-def parameter_count(model: AttentionMambaModel) -> int:
-    """Exact number of trainable scalars."""
-    return sum(t.data.size for _, t in model.named_parameters())
+        return yhat, ForwardTrace(*kept)
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +153,11 @@ def parameter_count(model: AttentionMambaModel) -> int:
 def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
     """Write a byte-stable container of named tensors.
 
+    The config record is the config's fields plus ``V1_FIXED_ENTRIES``.
     Every tensor is stored as little-endian float32 regardless of the
     in-memory precision; names are UTF-8, extents unsigned 32-bit.
     """
-    record = config.to_dict() | dict([V1_SCAN_FORM])
+    record = config.to_dict() | V1_FIXED_ENTRIES
     config_blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -187,8 +179,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
 
     Raises CheckpointError when the file has a bad magic, is cut short,
     has bytes after the last record, names a tensor twice or does not hold
-    the fixed scan-form entry, and ConfigError when the rest of its config
-    record is not a valid ModelConfig.
+    every entry of ``V1_FIXED_ENTRIES`` at its value, and ConfigError when
+    the rest of its config record is not a valid ModelConfig.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())   # slices below share its buffer
@@ -216,13 +208,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: config record is not UTF-8 JSON: {exc}") from None
     if not isinstance(config_dict, dict):
         raise CheckpointError(f"{path}: config record is not a JSON object")
-    key, form = V1_SCAN_FORM
-    found = config_dict.pop(key, None)
-    if found != form:
-        raise CheckpointError(
-            f"{path}: config record has {key}={found!r}; only {form!r} loads, and "
-            f"the retired 'fused-reverse' scan form computes another function"
-        )
+    for key, fixed in V1_FIXED_ENTRIES.items():
+        found = config_dict.pop(key, None)
+        if type(found) is not type(fixed) or found != fixed:   # true is not 1
+            raise CheckpointError(
+                f"{path}: config record has {key}={found!r}; only {fixed!r} loads, "
+                f"as another value computes another function"
+            )
     config = ModelConfig.from_dict(config_dict)
     (count,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}

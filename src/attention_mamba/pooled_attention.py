@@ -4,8 +4,10 @@ Query and Key ([B, N, E]) are each compressed to [B, E/4, E/4] by
 ``fuse_pool``, one tape node that sums adaptive average and adaptive max
 pooling of N rows into E/4 windows and of E columns into groups of 4. The
 pooled matrices are pushed through exact GeLU and multiplied into a score
-matrix whose cost is independent of the variate count N, then softmaxed
-and projected back to [B, N, E] by two per-axis recovery maps.
+matrix whose cost, (E/4)^3 MACs per batch element, is independent of the
+variate count N, then softmaxed and projected back to [B, N, E] by two
+per-axis recovery maps. The score product is a call to this module's
+``matmul``, so a caller can count its MACs by wrapping that name.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import ShapeError, Tensor, count_macs, fuse_pool, matmul, softmax_last
+from .tensor_core import ShapeError, Tensor, fuse_pool, matmul, softmax_last
 
 
 @dataclass
@@ -47,28 +49,8 @@ class PooledAttentionParams:
         return out
 
 
-@dataclass
-class AttentionTrace:
-    """Intermediates of one pooled-attention forward pass: the forward's own
-    arrays, made read-only, not copies."""
-
-    query: np.ndarray        # [B, N, E]
-    key: np.ndarray          # [B, N, E]
-    fused_query: np.ndarray  # [B, E/4, E/4]
-    fused_key: np.ndarray    # [B, E/4, E/4]
-    pooled_query: np.ndarray  # [B, E/4, E/4], GeLU of fused_query
-    pooled_key: np.ndarray    # [B, E/4, E/4]
-    scores: np.ndarray       # [B, E/4, E/4]
-    weights: np.ndarray      # [B, N, E]
-    score_macs: int          # multiply-accumulates of the score matmul
-
-
-def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> tuple[Tensor, AttentionTrace]:
-    """Compute the [B, N, E] attention weights and the full trace.
-
-    The score-stage matmul runs under a MAC counter; its cost,
-    (E/4)^3 per batch element, does not depend on N.
-    """
+def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> Tensor:
+    """Compute the [B, N, E] attention weights."""
     if x_embed.data.ndim != 3:
         raise ShapeError(f"attention expects [B, N, E], got {x_embed.data.shape}")
     q = linear(x_embed, params.q_proj)
@@ -77,12 +59,7 @@ def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> tuple[T
     fused_k = fuse_pool(k)
     pooled_q = fused_q.gelu()
     pooled_k = fused_k.gelu()
-    with count_macs() as counter:
-        scores = matmul(pooled_q, pooled_k)
+    scores = matmul(pooled_q, pooled_k)
     attn = softmax_last(scores)
     recovered = linear(attn, params.recover_e)                    # [B, E/4, E]
-    weights = linear(recovered.transpose_last2(), params.recover_n).transpose_last2()
-    kept = [t.data for t in (q, k, fused_q, fused_k, pooled_q, pooled_k, scores, weights)]
-    for array in kept:
-        array.flags.writeable = False
-    return weights, AttentionTrace(*kept, score_macs=counter.total)
+    return linear(recovered.transpose_last2(), params.recover_n).transpose_last2()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attention_mamba import mamba, tensor_core
-from attention_mamba.mamba import MambaParams, bidirectional_mamba, mamba_forward, selective_scan
+from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
 from helpers import concatenate, numerical_grad, rel_error
 
@@ -229,11 +229,8 @@ class TestStability:
             h = h_next
 
 
-def tiny_params(embed_dim=8, n_tokens=4, state_dim=4, seed=0, dtype=np.float64):
-    return MambaParams.init(
-        embed_dim, n_tokens, np.random.default_rng(seed),
-        expansion=1, conv_width=32, state_dim=state_dim, dtype=dtype,
-    )
+def tiny_params(embed_dim=8, n_tokens=4, seed=0, dtype=np.float64):
+    return MambaParams.init(embed_dim, n_tokens, np.random.default_rng(seed), dtype)
 
 
 class TestMambaForward:
@@ -243,8 +240,9 @@ class TestMambaForward:
         assert out.data.shape == (2, 7, 32)
 
     def test_conv_width_clamped_to_tokens(self):
-        p = MambaParams.init(8, 4, np.random.default_rng(0), conv_width=64)
-        assert p.conv_weight.data.shape[1] == 4
+        for n_tokens, width in ((4, 4), (CONV_WIDTH, CONV_WIDTH), (40, CONV_WIDTH)):
+            p = MambaParams.init(8, n_tokens, np.random.default_rng(0))
+            assert p.conv_weight.data.shape[1] == width
 
     def test_zero_input_zero_biases_gives_zero(self):
         p = tiny_params()

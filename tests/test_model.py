@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from attention_mamba.layers import LinearLayer
+from attention_mamba.mamba import CONV_WIDTH, EXPANSION, STATE_DIM
 from attention_mamba.model import (
     AttentionMambaModel,
     CheckpointError,
@@ -16,7 +17,6 @@ from attention_mamba.model import (
     ModelConfig,
     load_checkpoint,
     load_model,
-    parameter_count,
     save_checkpoint,
     save_model,
 )
@@ -25,8 +25,7 @@ from helpers import concatenate, numerical_grad, rel_error
 
 RNG = np.random.default_rng(41)
 
-TINY = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8,
-                   state_dim=4, precision="64")
+TINY = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, precision="64")
 
 
 def tiny_model(seed=0, config=TINY):
@@ -101,8 +100,7 @@ class TestForward:
         model = AttentionMambaModel(cfg, np.random.default_rng(0))
         yhat, trace = model.forward(RNG.standard_normal((2, 96, 7)))
         assert yhat.data.shape == (2, 24, 7)
-        assert trace.attention.scores.shape == (2, 8, 8)
-        assert trace.attention.weights.shape == (2, 7, 32)
+        assert trace.weights.shape == (2, 7, 32)
         assert trace.value.shape == (2, 7, 32)
         assert trace.weighted_value.shape == (2, 7, 32)
 
@@ -110,12 +108,12 @@ class TestForward:
         model = tiny_model()
         x = RNG.standard_normal((2, 8, 3))
         _, trace = model.forward(x)
-        assert np.array_equal(trace.weighted_value, trace.attention.weights * trace.value)
+        assert np.array_equal(trace.weighted_value, trace.weights * trace.value)
         # a zero token-axis recovery map with unit bias makes every weight 1
         model.attn.recover_n.weight.data[:] = 0.0
         model.attn.recover_n.bias.data[:] = 1.0
         _, trace = model.forward(x)
-        np.testing.assert_array_equal(trace.attention.weights, np.ones((2, 3, 8)))
+        np.testing.assert_array_equal(trace.weights, np.ones((2, 3, 8)))
         np.testing.assert_array_equal(trace.weighted_value, trace.value)
 
     def test_non_finite_input_rejected(self):
@@ -129,6 +127,8 @@ class TestForward:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model.forward(np.zeros((1, 9, 3)))
+        with pytest.raises(ShapeError, match=r"B >= 1, got \(0, 8, 3\)"):
+            model.forward(np.zeros((0, 8, 3)))
 
     def test_trace_arrays_are_read_only_and_backward_unchanged(self):
         rng = np.random.default_rng(4)
@@ -136,9 +136,8 @@ class TestForward:
         probe = Tensor(rng.standard_normal((2, 4, 3)))
         model = tiny_model(seed=4)
         yhat, trace = model.forward(x)
-        kept = [trace.value, trace.weighted_value] + [
-            getattr(trace.attention, f.name) for f in fields(trace.attention) if f.name != "score_macs"]
-        assert len(kept) == 10
+        kept = [getattr(trace, f.name) for f in fields(trace)]
+        assert len(kept) == 3
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -248,10 +247,10 @@ class TestParameterCount:
         cfg = TINY
         model = tiny_model(config=cfg)
         n, L, T, E = cfg.n_variates, cfg.lookback, cfg.horizon, cfg.embed_dim
-        c = cfg.expansion * E
-        s = cfg.state_dim
+        c = EXPANSION * E
+        s = STATE_DIM
         r = math.ceil(E / 16)
-        k = min(cfg.conv_width, n)
+        k = min(CONV_WIDTH, n)
         quarter = E // 4
         per_mamba = (E * 2 * c + 2 * c) + (c * k + c) + (c * (r + 2 * s) + r + 2 * s) \
             + (r * c + c) + (c * s) + c + (c * E + E)
@@ -263,15 +262,18 @@ class TestParameterCount:
             + 2 * per_mamba
             + (E * T + T)                           # head
         )
-        assert parameter_count(model) == expected
+        assert sum(t.data.size for _, t in model.named_parameters()) == expected
 
     def test_deterministic(self):
-        assert parameter_count(tiny_model()) == parameter_count(tiny_model())
+        # load_model builds with a fixed seed and fills in the saved tensors
+        def layout(model):
+            return [(name, t.data.shape) for name, t in model.named_parameters()]
+        assert layout(tiny_model(seed=0)) == layout(tiny_model(seed=1))
 
 
 class TestCheckpoint:
     def test_round_trip_exact_float32(self, tmp_path):
-        cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, state_dim=4)
+        cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8)
         model = AttentionMambaModel(cfg, np.random.default_rng(3))
         path = tmp_path / "model.ckpt"
         save_model(path, model, extras={"scaler.mean": np.arange(3.0), "scaler.std": np.ones(3)})
@@ -322,7 +324,7 @@ class TestCheckpoint:
             load_model(path)
 
     def test_loaded_model_reproduces_outputs(self, tmp_path):
-        cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, state_dim=4)
+        cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8)
         model = AttentionMambaModel(cfg, np.random.default_rng(3))
         x = RNG.standard_normal((2, 8, 3)).astype(np.float32)
         path = tmp_path / "model.ckpt"
@@ -341,13 +343,16 @@ class TestCheckpointErrors:
         return path
 
     def test_v1_bytes_unchanged(self, tmp_path):
-        # the fixed scan-form entry is the one v1 files of the retired form
-        # held, with "per-branch-reverse" for "fused-reverse"
+        # the bytes v1 wrote while the Mamba sizes were config fields, at
+        # their defaults; the scan form is the one v1 files of the retired
+        # form held, with "per-branch-reverse" for "fused-reverse"
         blob = self.small_checkpoint(tmp_path).read_bytes()
-        assert len(blob) == 256
+        assert len(blob) == 257
         assert b'"bidirectional_variant":"per-branch-reverse"' in blob
+        assert b'"conv_width":32,"embed_dim":8,"expansion":1,' in blob
+        assert b'"state_dim":16' in blob
         assert hashlib.sha256(blob).hexdigest() == \
-            "66d7b11ea6fe64983ab36a4a66cd64b743d864dfb7e9f434c7a5cc405581e0b5"
+            "942b180c1ba2f47df320b56d76df7522d2141de5ebdf01b47d516f56c6e358fe"
         config, tensors = load_checkpoint(tmp_path / "small.ckpt")
         assert config == TINY
         assert list(tensors) == ["a", "scalar", "b"]
@@ -394,16 +399,22 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="not UTF-8"):
             load_checkpoint(path)
 
-    def test_retired_scan_form_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key,value", [
+        ("bidirectional_variant", "fused-reverse"), ("expansion", 2), ("expansion", True),
+        ("conv_width", 4), ("state_dim", 4),
+    ], ids=["bidirectional_variant", "expansion", "expansion_true", "conv_width", "state_dim"])
+    def test_retired_scan_form_rejected(self, tmp_path, key, value):
+        # a fixed entry at another value, e.g. the retired "fused-reverse" form
         path = self.small_checkpoint(tmp_path)
-        rewrite_config(path, lambda d: d | {"bidirectional_variant": "fused-reverse"})
-        with pytest.raises(CheckpointError, match="'fused-reverse'.*retired 'fused-reverse'"):
+        rewrite_config(path, lambda d: d | {key: value})
+        with pytest.raises(CheckpointError, match=f"{key}={value!r}; only"):
             load_checkpoint(path)
 
-    def test_missing_scan_form_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bidirectional_variant", "expansion", "conv_width", "state_dim"])
+    def test_missing_scan_form_rejected(self, tmp_path, key):
         path = self.small_checkpoint(tmp_path)
-        rewrite_config(path, lambda d: {k: v for k, v in d.items() if k != "bidirectional_variant"})
-        with pytest.raises(CheckpointError, match="bidirectional_variant=None.*retired 'fused-reverse'"):
+        rewrite_config(path, lambda d: {k: v for k, v in d.items() if k != key})
+        with pytest.raises(CheckpointError, match=f"{key}=None; only"):
             load_checkpoint(path)
 
     def test_config_record_not_object_rejected(self, tmp_path):

@@ -107,8 +107,7 @@ def tiny_dataset(total=80, n_variates=3, lookback=8, horizon=4, seed=0):
 
 
 def tiny_model(seed=0, precision="32"):
-    cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8,
-                      state_dim=4, precision=precision)
+    cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, precision=precision)
     return AttentionMambaModel(cfg, np.random.default_rng(seed))
 
 
@@ -117,7 +116,7 @@ def wide_dataset_and_model():
     would be ~120x the series."""
     rng = np.random.default_rng(7)
     series = RawSeries(values=rng.standard_normal((3000, 64)), names=[f"v{i}" for i in range(64)])
-    cfg = ModelConfig(n_variates=64, lookback=96, horizon=96, embed_dim=8, state_dim=4)
+    cfg = ModelConfig(n_variates=64, lookback=96, horizon=96, embed_dim=8)
     return fit_apply_scaler(split_series(series, 96, 96)), AttentionMambaModel(cfg, rng)
 
 
