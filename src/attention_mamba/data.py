@@ -53,10 +53,24 @@ def _is_number(cell: str, finite: bool = False) -> bool:
     return not finite or math.isfinite(value)
 
 
+def _is_header(row: list[str]) -> bool:
+    """Whether a first row names the columns rather than holding data.
+
+    It does when no cell in it is a finite number, or when a cell after the
+    first is not one and every cell that is one is a plain integer: the
+    Electricity, Traffic and Exchange files head their columns
+    ``date,0,1,...,OT``. A first row such as ``1.0,abc`` stays data, so its
+    bad cell is reported, and ``date,2020`` is a timestamp and a value.
+    """
+    named = [not _is_number(cell, finite=True) for cell in row]
+    return all(named) or (any(named[1:]) and all(
+        is_name or cell.strip().isdecimal() for is_name, cell in zip(named, row)))
+
+
 def load_csv(path) -> RawSeries:
     """Parse a rectangular numeric UTF-8 CSV.
 
-    A first row with no finite number in it is treated as a header; a
+    A first row that ``_is_header`` takes for column names is a header; a
     non-numeric first cell on data rows marks a timestamp column, which is
     dropped. Ragged rows, non-numeric data cells, non-UTF-8 bytes and empty
     files each raise their own error; a non-finite cell ("nan", "inf")
@@ -87,7 +101,7 @@ def _parse_csv(path) -> RawSeries:
         raise EmptyFileError(f"{path}: no rows")
 
     names: list[str] | None = None
-    if all(not _is_number(cell, finite=True) for cell in first):
+    if _is_header(first):
         names = [cell.strip() for cell in first]
         first = second
         if first is None:

@@ -15,9 +15,13 @@ Two ops are single fused nodes with hand-written backwards rather than
 chains of small nodes: the selective scan (``selective_scan``), which keeps
 its states channels-last, [N, B, S, C], and reads them out by matmul, and
 the adaptive average-plus-max pooling of query and key from [B, N, E] to
-[B, E/4, E/4] (``fuse_pool``), which gathers its windows with index
-arrays instead of looping over them. The causal depthwise convolution is
-one contraction over a window view, forward and backward.
+[B, E/4, E/4] (``fuse_pool``). Its forward gathers the k-th row of every
+window as one [B, windows, E] slab and pools across slabs, then across
+strided column views, in whole-array passes; it adds them in the order
+numpy's mean sums a short axis, so the bits are those of numpy's mean.
+The argmax that routes its max gradient runs in the backward alone. The
+causal depthwise convolution is one contraction over a window view,
+forward and backward.
 
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
@@ -32,7 +36,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _sp_erf, expit as _sp_expit
 
 __all__ = [
@@ -463,7 +467,7 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     batch, n_seq, channels = x.data.shape
     width = weight.data.shape[1]
     taps = np.ascontiguousarray(weight.data.T)                    # [K, C]
-    windows = _token_windows(np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0))), width)
+    windows = _token_windows(x.data, width, lead=width - 1)
     y = np.einsum("bnkc,kc->bnc", windows, taps)
     y += bias.data
     _add_macs(batch * channels * n_seq * width)
@@ -471,7 +475,7 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if out.requires_grad:
         def back(g):
             if x.requires_grad:
-                g_windows = _token_windows(np.pad(g, ((0, 0), (0, width - 1), (0, 0))), width)
+                g_windows = _token_windows(g, width, lead=0)
                 _acc(x, np.einsum("bnkc,kc->bnc", g_windows, taps[::-1]))
             if weight.requires_grad:
                 _acc(weight, np.einsum("bnc,bnkc->kc", g, windows).T)
@@ -481,9 +485,24 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def _token_windows(padded: np.ndarray, width: int) -> np.ndarray:
-    """[B, N + K - 1, C] -> a [B, N, K, C] view: window n holds tokens n..n+K-1."""
-    return sliding_window_view(padded, width, axis=1).swapaxes(2, 3)
+def _token_windows(a: np.ndarray, width: int, lead: int) -> np.ndarray:
+    """[B, N, C] -> a read-only [B, N, K, C] window view of `a` padded with
+    K - 1 zero tokens, `lead` of them in front: window n holds padded
+    tokens n..n+K-1.
+
+    Only the padding is zeroed (np.zeros would zero every page, then write
+    most of it again), and the view is one as_strided call. On a 2-core x86
+    machine, at [1, 21, 128] and K = 21, that took about a sixth of the time
+    of np.pad plus sliding_window_view.
+    """
+    batch, n_tokens, channels = a.shape
+    padded = np.empty((batch, n_tokens + width - 1, channels), a.dtype)
+    padded[:, :lead] = 0
+    padded[:, lead + n_tokens:] = 0
+    padded[:, lead:lead + n_tokens] = a
+    sb, sn, sc = padded.strides
+    return as_strided(padded, (batch, n_tokens, width, channels), (sb, sn, sn, sc),
+                      writeable=False)
 
 
 def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
@@ -613,23 +632,70 @@ def pool_window_bounds(in_size: int, out_size: int) -> list:
     ]
 
 
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Sum equal-shape arrays in the order np.add.reduce sums a contiguous
+    axis of len(terms) elements, so the result matches it bit for bit.
+
+    That order is numpy's pairwise summation: from a start of +0.0, one
+    term after another below 8 terms; from 8 to 128, eight running sums
+    (term i goes to sum i % 8) joined as a tree, then the leftover terms
+    one by one; above 128, the halves split at a multiple of 8, each summed
+    this way. The +0.0 start is what turns a sum of -0.0 terms into +0.0.
+    fuse_pool sums its windows with it, so its means keep numpy's bits.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0] + 0.0
+        for t in terms[1:]:
+            total += t
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    tail = n - n % 8
+    acc = terms[:8]
+    for i in range(8, tail, 8):
+        acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
+    while len(acc) > 1:
+        acc = [acc[i] + acc[i + 1] for i in range(0, len(acc), 2)]
+    total = acc[0] + 0.0
+    for t in terms[tail:]:
+        total += t
+    return total
+
+
+def _argmax_moves(new: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Where argmax, having found `best` so far, moves on to a later `new`:
+    new is greater, or new is NaN and best is not (the first NaN wins)."""
+    return ~(new <= best) & (best == best)
+
+
 @lru_cache(maxsize=64)
 def _row_windows(n_rows: int, n_out: int) -> tuple:
-    """Index arrays for pooling n_rows rows into n_out adaptive windows: each
-    window's width, its rows padded to the widest window by repeating its
-    last row, and per level k the k-th window holding each row (n_out where
-    the row lies in k windows or fewer)."""
+    """Index arrays for pooling n_rows rows into n_out adaptive windows.
+
+    Per window width w (adaptive windows have at most two): w, the ids of
+    the windows that wide and their rows as a [windows, w] array, whose
+    column k gathers the k-th row of every such window at once. Then, for
+    the backward: each window's width, its rows padded to the widest window
+    by repeating its last row, and per level k the k-th window holding each
+    row (n_out where the row lies in k windows or fewer).
+    """
     start, stop = np.array(pool_window_bounds(n_rows, n_out)).T
     width = stop - start
     padded = np.minimum(start[:, None] + np.arange(width.max()), stop[:, None] - 1)
+    groups = []
+    for w in np.unique(width).tolist():
+        ids = np.flatnonzero(width == w)
+        groups.append((w, ids, padded[ids, :w]))
     rows = np.arange(n_rows)
     first = np.searchsorted(stop, rows, side="right")
     last = np.searchsorted(start, rows, side="right") - 1
     levels = tuple(np.where(first + k <= last, first + k, n_out)
                    for k in range(int((last - first).max()) + 1))
-    for shared in (width, padded, *levels):   # the cache hands them to every caller
-        shared.flags.writeable = False
-    return width, padded, levels
+    for shared in (width, padded, *levels, *(a for group in groups for a in group[1:])):
+        shared.flags.writeable = False   # the cache hands them to every caller
+    return tuple(groups), width, padded, levels
 
 
 def fuse_pool(x: Tensor) -> Tensor:
@@ -637,10 +703,23 @@ def fuse_pool(x: Tensor) -> Tensor:
 
     Output (i, j) pools the block of rows pool_window_bounds(N, E/4)[i]
     (overlapping when N < E/4) and columns 4j..4j+3. Results and gradients
-    are bit-identical to pooling rows, then columns, one axis at a time: the
-    average is a mean of row-window means, the max gradient goes to the
-    block's first maximum with columns outermost, and the backward adds a
-    row's average terms in window order, then its max terms.
+    are bit-identical to pooling rows, then columns, one axis at a time with
+    numpy's mean and argmax: the average is a mean of row-window means, the
+    max gradient goes to the block's first maximum with columns outermost,
+    and the backward adds a row's average terms in window order, then its
+    max terms. (A NaN output stays NaN, but its sign bit may differ.)
+
+    The forward runs per window width, as numpy's sum order depends on it,
+    over [B, windows, E] slabs: slab k holds the k-th row of every window
+    that wide, taken in one gather. The row means add the slabs in the
+    order numpy's mean sums a window (``_pairwise_sum``), then divide by
+    the width; the column means add the 4 strided column views the same
+    way and divide by 4. The maxima are np.maximum across slabs, then
+    across column views, the later operand first: on a tie of -0.0 and
+    +0.0 np.maximum returns its second operand, so the first maximum wins,
+    as with argmax. The argmax itself runs only in the backward, from x's
+    data, so a forward that records no tape (a forecast, or evaluation
+    under no_grad) never pays for it.
     """
     if x.data.ndim != 3 or x.data.shape[1] < 1 or x.data.shape[2] < 4 or x.data.shape[2] % 4:
         raise ShapeError(
@@ -649,33 +728,48 @@ def fuse_pool(x: Tensor) -> Tensor:
         )
     batch, n_rows, embed = x.data.shape
     quarter = embed // 4
-    width, padded, levels = _row_windows(n_rows, quarter)
-    cols_first = np.ascontiguousarray(x.data.swapaxes(1, 2))        # [B, E, N]
+    groups, width, padded, levels = _row_windows(n_rows, quarter)
 
-    # np.take returns C-contiguous windows, so mean() sums each one in the
-    # same pairwise order as a slice; adaptive windows have at most two widths
-    row_means = np.empty((batch, embed, quarter), x.data.dtype)
-    for w in np.unique(width):
-        ids = np.flatnonzero(width == w)
-        row_means[..., ids] = np.take(cols_first, padded[ids, :w], axis=-1).mean(axis=-1)
-    avg = np.ascontiguousarray(row_means.swapaxes(1, 2)).reshape(
-        batch, quarter, quarter, 4).mean(axis=-1)
+    pooled = np.empty((batch, quarter, quarter), x.data.dtype)
+    for w, ids, rows in groups:
+        slabs = [np.take(x.data, rows[:, k], axis=1) for k in range(w)]   # [B, windows, E]
+        row_avg = _pairwise_sum(slabs)
+        row_avg /= w
+        row_max = slabs[0]
+        for slab in slabs[1:]:
+            row_max = np.maximum(slab, row_max, out=slab)
+        avg = _pairwise_sum([row_avg[..., c::4] for c in range(4)])
+        avg /= 4
+        mx = row_max[..., 0::4]
+        for c in range(1, 4):
+            mx = np.maximum(row_max[..., c::4], mx)
+        avg += mx
+        pooled[:, ids] = avg
 
-    # blocks [B, T_i, T_j, 4 * w]: block (i, j) column by column. A repeated
-    # last row comes after the original, so argmax still finds the first maximum.
-    block_cols = np.arange(embed).reshape(1, quarter, 4, 1)
-    blocks = x.data[:, padded[:, None, None, :], block_cols].reshape(batch, quarter, quarter, -1)
-    arg = blocks.argmax(axis=-1)
-    mx = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
-
-    out = _node(avg + mx, (x,))
+    out = _node(pooled, (x,))
     if out.requires_grad:
-        col, row = np.divmod(arg, padded.shape[1])
-        win = np.arange(quarter)
-        # flat index into x of each block's first maximum
-        flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], row]) * embed
-                + 4 * win + col)
         def back(g):
+            # flat index into x of each block's first maximum: the first down
+            # each column, then the first of the block's 4 column maxima. A
+            # position only grows when argmax moves, so np.maximum records
+            # it; a window's repeated last row never moves it.
+            span = padded.shape[1]
+            # positions in int32, which moves half the bytes of intp
+            best = np.take(x.data, padded[:, 0], axis=1)                  # [B, E/4, E]
+            at = np.zeros(best.shape, np.int32)
+            for k in range(1, span):
+                slab = np.take(x.data, padded[:, k], axis=1)
+                np.maximum(at, _argmax_moves(slab, best) * np.int32(k), out=at)
+                np.maximum(slab, best, out=best)
+            col_best, pos = best[..., 0::4], at[..., 0::4].copy()        # pos = c * span + k
+            for c in range(1, 4):
+                moves = _argmax_moves(best[..., c::4], col_best)
+                np.maximum(pos, moves * (at[..., c::4] + c * span), out=pos)
+                np.maximum(best[..., c::4], col_best, out=col_best)
+            col, k = np.divmod(pos, span)
+            win = np.arange(quarter)
+            flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], k]) * embed
+                    + 4 * win + col)
             # one row per window; the zero row `quarter` is the level index
             # of a row that lies in fewer windows than the level
             per_window = np.zeros((batch, quarter + 1, embed), g.dtype)

@@ -60,6 +60,11 @@ ODD_CSVS = {
     "bom_numeric": ("\ufeff1.0,2.0\n3.0,4.0\n", ([[1.0, 2.0], [3.0, 4.0]], ["v0", "v1"])),
     "bom_header": ("\ufeffa,b\n1,2\n", ([[1.0, 2.0]], ["a", "b"])),
     "bom_ragged": ("\ufeff1.0,2.0\n3.0\n", (RaggedRowError, "row 2 has 1 values, expected 2")),
+    # the Electricity, Traffic and Exchange header: column indices, then OT
+    "column_index_header": ("date,0,1,OT\n2016-07-01 02:00:00,1.5,2.5,3.5\n2016-07-01 03:00:00,4.5,5.5,6.5\n",
+                            ([[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]], ["0", "1", "OT"])),
+    "bad_cell_in_first_row": ("1.0,abc\n2.0,3.0\n",
+                              (NonNumericCellError, "non-numeric cell 'abc' at row 1, column 2")),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from attention_mamba import pooled_attention
 from attention_mamba.pooled_attention import PooledAttentionParams, attention_weights, fuse_pool
-from attention_mamba.tensor_core import ShapeError, Tensor, backward, count_macs, gradients
+from attention_mamba.tensor_core import ShapeError, Tensor, backward, count_macs, gradients, no_grad
 from helpers import numerical_grad, rel_error
 
 RNG = np.random.default_rng(23)
@@ -125,12 +125,24 @@ class TestFusePool:
         np.testing.assert_array_equal(got, two_axes(x, "avg") + two_axes(x, "max"))
 
     def test_fuse_equals_avg_plus_max_exactly(self):
-        # the bench shapes: row windows of width 1-2 (N=21) and 11-12 (N=321)
-        for n_rows in (21, 321):
-            x = RNG.standard_normal((2, n_rows, 128)).astype(np.float32)
+        # the bench shapes: row windows of width 1-2 (N=21) and 11-12 (N=321),
+        # and Traffic's N=862, 27-28 rows, summed in eight running sums
+        for n_rows, dtype in ((21, np.float32), (321, np.float32), (321, np.float64), (862, np.float32)):
+            x = RNG.standard_normal((2, n_rows, 128)).astype(dtype)
             out = fuse_pool(Tensor(x)).data
-            assert out.dtype == np.float32
+            assert out.dtype == dtype
             np.testing.assert_array_equal(out, two_axes(x, "avg") + two_axes(x, "max"))
+
+    def test_taped_and_untaped_forwards_agree(self):
+        # the taped forward only adds the backward closure
+        for n_rows in (7, 21, 321):
+            x = RNG.standard_normal((3, n_rows, 128)).astype(np.float32)
+            taped = fuse_pool(Tensor(x, requires_grad=True))
+            assert taped._backward is not None
+            with no_grad():
+                untaped = fuse_pool(Tensor(x, requires_grad=True))
+            assert untaped._backward is None
+            assert taped.data.tobytes() == untaped.data.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_window_oracle_sweep(self, dtype):
@@ -153,11 +165,15 @@ class TestFusePool:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_gradient_matches_window_oracle(self, dtype):
-        # rows pooled down, then rows in up to 2, 3 (weather's N=21, E=128) and 8 windows
-        for shape in ((2, 21, 32), (3, 12, 16), (1, 16, 4), (2, 7, 32), (2, 21, 128), (1, 3, 32), (2, 1, 32)):
+        # rows pooled down (to 11-12 row windows at electricity's N=321), then
+        # rows in up to 2, 3 (weather's N=21, E=128) and 8 windows
+        for shape in ((2, 21, 32), (3, 12, 16), (1, 16, 4), (2, 321, 128), (2, 7, 32), (2, 21, 128),
+                      (1, 3, 32), (2, 1, 32)):
             g = RNG.standard_normal((shape[0], shape[2] // 4, shape[2] // 4)).astype(dtype)
-            # continuous values, then small integers: ties across rows and columns
-            for x in (RNG.standard_normal(shape), RNG.integers(-1, 2, shape)):
+            # continuous values, small integers (ties across rows and columns),
+            # and NaNs, where argmax picks a block's first NaN
+            holes = np.where(RNG.random(shape) < 0.1, np.nan, RNG.standard_normal(shape))
+            for x in (RNG.standard_normal(shape), RNG.integers(-1, 2, shape), holes):
                 x = x.astype(dtype)
                 leaf = Tensor(x, requires_grad=True)
                 backward((fuse_pool(leaf) * Tensor(g)).sum())
