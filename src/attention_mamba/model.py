@@ -235,18 +235,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def save_model(path, model: AttentionMambaModel, extras: dict[str, np.ndarray] | None = None) -> None:
-    """Checkpoint the model parameters plus optional extra arrays
-
-    (the dataset scaler, for instance), all in one container. An extra
-    may not reuse a parameter's name.
-    """
+def save_model(path, model: AttentionMambaModel) -> None:
+    """Checkpoint the model's config and parameters."""
     tensors = {name: t.data for name, t in model.named_parameters()}
-    if extras:
-        clash = tensors.keys() & extras.keys()
-        if clash:
-            raise ValueError(f"checkpoint extras collide with parameter names: {sorted(clash)}")
-        tensors.update(extras)
     save_checkpoint(path, model.config, tensors)
 
 

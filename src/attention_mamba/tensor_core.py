@@ -6,6 +6,15 @@ once in reverse topological order. Arrays are numpy, row-major, float32
 or float64. The op set is what the forecasting model runs. There is no
 GPU path and no graph optimization.
 
+The node contract: an op computes its output array, defines ``back(g)``,
+which passes its inputs' gradients for the output gradient g to ``_acc``,
+and returns ``_node(data, parents, back)``. ``_node`` is the one place a
+node is made. The output keeps ``parents`` as ``_prev`` and ``back`` as
+``_backward`` only when taping is on and some parent requires grad;
+otherwise it is a constant that keeps neither. ``back`` is built before the
+node exists, so it cannot refer to the node and make a reference cycle,
+which would hold the upstream graph until the cyclic collector runs.
+
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
 documented contract, but the general rule is implemented because RevIN's
@@ -158,60 +167,22 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other, like=self)
-        out = _node(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def back(g):
-                if self.requires_grad:
-                    _acc(self, _unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    _acc(other, _unbroadcast(g, other.data.shape))
-            out._backward = back
-        return out
+        return _binary(self, other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     def __sub__(self, other):
-        other = _as_tensor(other, like=self)
-        out = _node(self.data - other.data, (self, other))
-        if out.requires_grad:
-            def back(g):
-                if self.requires_grad:
-                    _acc(self, _unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    _acc(other, _unbroadcast(-g, other.data.shape))
-            out._backward = back
-        return out
+        return _binary(self, other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __mul__(self, other):
-        other = _as_tensor(other, like=self)
-        out = _node(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def back(g):
-                if self.requires_grad:
-                    _acc(self, _unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    _acc(other, _unbroadcast(g * self.data, other.data.shape))
-            out._backward = back
-        return out
+        return _binary(self, other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     def __truediv__(self, other):
-        other = _as_tensor(other, like=self)
-        out = _node(self.data / other.data, (self, other))
-        if out.requires_grad:
-            def back(g):
-                if self.requires_grad:
-                    _acc(self, _unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    _acc(other, _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
-            out._backward = back
-        return out
+        return _binary(self, other, np.true_divide,
+                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
     def __neg__(self):
-        out = _node(-self.data, (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, -g)
-            out._backward = back
-        return out
+        def back(g):
+            _acc(self, -g)
+        return _node(-self.data, (self,), back)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -219,111 +190,93 @@ class Tensor:
         """Swap the two trailing axes; materializes a contiguous copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose_last2 needs ndim >= 2, got shape {self.data.shape}")
-        out = _node(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, np.ascontiguousarray(g.swapaxes(-1, -2)))
-            out._backward = back
-        return out
+        def back(g):
+            _acc(self, np.ascontiguousarray(g.swapaxes(-1, -2)))
+        return _node(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,), back)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self) -> "Tensor":
-        out = _node(self.data.sum(), (self,))
-        if out.requires_grad:
-            shape = self.data.shape
-            def back(g):
-                _acc(self, np.broadcast_to(g, shape))
-            out._backward = back
-        return out
+        shape = self.data.shape
+        def back(g):
+            _acc(self, np.broadcast_to(g, shape))
+        return _node(self.data.sum(), (self,), back)
 
     def mean(self, axis: int | None = None) -> "Tensor":
         """Mean of all elements, or along one axis, which is kept."""
-        out = _node(self.data.mean(axis=axis, keepdims=axis is not None), (self,))
-        if out.requires_grad:
-            shape = self.data.shape
-            count = self.data.size if axis is None else shape[axis]
-            def back(g):
-                _acc(self, np.broadcast_to(g, shape) / count)
-            out._backward = back
-        return out
+        y = self.data.mean(axis=axis, keepdims=axis is not None)
+        shape = self.data.shape
+        count = self.data.size if axis is None else shape[axis]
+        def back(g):
+            _acc(self, np.broadcast_to(g, shape) / count)
+        return _node(y, (self,), back)
 
     # -- pointwise nonlinearities --------------------------------------------
 
-    # Closures below capture output arrays, never `out` itself: a node whose
-    # backward refers to the node is a reference cycle, which keeps the whole
-    # upstream graph alive until the cyclic collector runs.
-
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
-        out = _node(y, (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, g * y)
-            out._backward = back
-        return out
+        def back(g):
+            _acc(self, g * y)
+        return _node(y, (self,), back)
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        out = _node(y, (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, g * 0.5 / y)
-            out._backward = back
-        return out
+        def back(g):
+            _acc(self, g * 0.5 / y)
+        return _node(y, (self,), back)
 
     def silu(self) -> "Tensor":
-        s = _sp_expit(self.data)
-        out = _node(self.data * s, (self,))
-        if out.requires_grad:
-            x = self.data
-            def back(g):
-                _acc(self, g * (s * (1.0 + x * (1.0 - s))))
-            out._backward = back
-        return out
+        x = self.data
+        s = _sp_expit(x)
+        def back(g):
+            _acc(self, g * (s * (1.0 + x * (1.0 - s))))
+        return _node(x * s, (self,), back)
 
     def gelu(self) -> "Tensor":
         """Exact GeLU 0.5*x*(1 + erf(x/sqrt(2))), not the tanh approximation."""
-        cdf = 0.5 * (1.0 + _sp_erf(self.data * _INV_SQRT2))
-        out = _node(self.data * cdf, (self,))
-        if out.requires_grad:
-            x = self.data
-            def back(g):
-                pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-                _acc(self, g * (cdf + x * pdf))
-            out._backward = back
-        return out
+        x = self.data
+        cdf = 0.5 * (1.0 + _sp_erf(x * _INV_SQRT2))
+        def back(g):
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+            _acc(self, g * (cdf + x * pdf))
+        return _node(x * cdf, (self,), back)
 
     def softplus(self) -> "Tensor":
         """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), the form
         np.logaddexp(0, x) takes per element, in whole-array passes."""
         x = self.data
-        out = _node(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))), (self,))
-        if out.requires_grad:
-            def back(g):
-                _acc(self, g * _sp_expit(x))
-            out._backward = back
-        return out
+        def back(g):
+            _acc(self, g * _sp_expit(x))
+        return _node(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))), (self,), back)
 
 
 # --------------------------------------------------------------------------
 # internals
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    """A constant operand, taken at the dtype of the Tensor it meets."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def _node(data: np.ndarray, parents: tuple) -> Tensor:
+def _node(data: np.ndarray, parents: tuple, back) -> Tensor:
+    """An op's output: taped, with `parents` and `back`, when taping is on and
+    some parent requires grad; otherwise a constant that keeps neither."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out._prev = parents if out.requires_grad else ()
-    out._backward = None
+    out._backward = back if out.requires_grad else None
     return out
+
+
+def _binary(a: Tensor, b, ufunc, grad_a, grad_b) -> Tensor:
+    """ufunc(a, b) under numpy broadcasting, b a Tensor or a constant taken at
+    a's dtype. grad_a and grad_b map the arrays (g, a, b) to each operand's
+    gradient, which is summed back to its shape."""
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    def back(g):
+        if a.requires_grad:
+            _acc(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+    return _node(ufunc(a.data, b.data), (a, b), back)
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
@@ -366,17 +319,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     m, k = a.data.shape[-2], a.data.shape[-1]
     p = b.data.shape[-1]
     _add_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * p)
-    out = _node(data, (a, b))
-    if out.requires_grad:
-        def back(g):
-            if a.requires_grad:
-                ga = np.matmul(g, b.data.swapaxes(-1, -2))
-                _acc(a, _unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), g)
-                _acc(b, _unbroadcast(gb, b.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        if a.requires_grad:
+            ga = np.matmul(g, b.data.swapaxes(-1, -2))
+            _acc(a, _unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.matmul(a.data.swapaxes(-1, -2), g)
+            _acc(b, _unbroadcast(gb, b.data.shape))
+    return _node(data, (a, b), back)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -384,25 +334,19 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-    out = _node(x.data[sl], (x,))
-    if out.requires_grad:
-        shape = x.data.shape
-        def back(g):
-            gx = np.zeros(shape, dtype=g.dtype)
-            gx[sl] = g
-            _acc(x, gx)
-        out._backward = back
-    return out
+    shape = x.data.shape
+    def back(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        gx[sl] = g
+        _acc(x, gx)
+    return _node(x.data[sl], (x,), back)
 
 
 def reverse(x: Tensor, axis: int) -> Tensor:
     """Reverse along one axis; an exact involution."""
-    out = _node(np.ascontiguousarray(np.flip(x.data, axis=axis)), (x,))
-    if out.requires_grad:
-        def back(g):
-            _acc(x, np.flip(g, axis=axis))
-        out._backward = back
-    return out
+    def back(g):
+        _acc(x, np.flip(g, axis=axis))
+    return _node(np.ascontiguousarray(np.flip(x.data, axis=axis)), (x,), back)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -410,13 +354,10 @@ def softmax_last(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = _node(s, (x,))
-    if out.requires_grad:
-        def back(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            _acc(x, s * (g - dot))
-        out._backward = back
-    return out
+    def back(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        _acc(x, s * (g - dot))
+    return _node(s, (x,), back)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -429,18 +370,15 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, x.data.shape[-1])
     y = x2 @ weight.data + bias.data
     _add_macs(x2.shape[0] * weight.data.shape[0] * weight.data.shape[1])
-    out = _node(y.reshape(lead + (weight.data.shape[1],)), (x, weight, bias))
-    if out.requires_grad:
-        def back(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            if x.requires_grad:
-                _acc(x, (g2 @ weight.data.T).reshape(x.data.shape))
-            if weight.requires_grad:
-                _acc(weight, x2.T @ g2)
-            if bias.requires_grad:
-                _acc(bias, g2.sum(axis=0))
-        out._backward = back
-    return out
+    def back(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _acc(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        if weight.requires_grad:
+            _acc(weight, x2.T @ g2)
+        if bias.requires_grad:
+            _acc(bias, g2.sum(axis=0))
+    return _node(y.reshape(lead + (weight.data.shape[1],)), (x, weight, bias), back)
 
 
 def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -471,18 +409,15 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     y = np.einsum("bnkc,kc->bnc", windows, taps)
     y += bias.data
     _add_macs(batch * channels * n_seq * width)
-    out = _node(y, (x, weight, bias))
-    if out.requires_grad:
-        def back(g):
-            if x.requires_grad:
-                g_windows = _token_windows(g, width, lead=0)
-                _acc(x, np.einsum("bnkc,kc->bnc", g_windows, taps[::-1]))
-            if weight.requires_grad:
-                _acc(weight, np.einsum("bnc,bnkc->kc", g, windows).T)
-            if bias.requires_grad:
-                _acc(bias, g.sum(axis=(0, 1)))
-        out._backward = back
-    return out
+    def back(g):
+        if x.requires_grad:
+            g_windows = _token_windows(g, width, lead=0)
+            _acc(x, np.einsum("bnkc,kc->bnc", g_windows, taps[::-1]))
+        if weight.requires_grad:
+            _acc(weight, np.einsum("bnc,bnkc->kc", g, windows).T)
+        if bias.requires_grad:
+            _acc(bias, g.sum(axis=(0, 1)))
+    return _node(y, (x, weight, bias), back)
 
 
 def _token_windows(a: np.ndarray, width: int, lead: int) -> np.ndarray:
@@ -570,52 +505,49 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     y = y[:, :, 0]
     y += D_skip.data * u_n
     _add_macs(2 * n_tokens * batch * state_dim * channels)
-    out = _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs)
-    if out.requires_grad:
-        def back(g):
-            g_n = g.transpose(1, 0, 2)
-            # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
-            dh_b = np.empty((n_tokens, batch, 1, channels), dtype)
-            d_log = np.empty_like(delta_u)
-            d_a = np.zeros_like(a_t, dtype=dtype)
-            d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
-            d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
-            dh_slab = np.empty_like(slab)
-            carry_slab = np.empty_like(slab)
-            carry = np.zeros(h.shape[1:], dtype)                       # decay_{t+1} * dh_{t+1}
-            for lo, hi in reversed(runs):
-                k = hi - lo
-                dec = decays(lo, hi)
-                dh = np.multiply(c_n[lo:hi].swapaxes(-1, -2), g_n[lo:hi, :, None, :], out=dh_slab[:k])
-                for t in range(k - 1, -1, -1):
-                    dh[t] += carry
-                    carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
-                carry = carry.copy()   # it is carry_slab[0], overwritten below
-                np.matmul(b_n[lo:hi], dh, out=dh_b[lo:hi])
-                np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
-                np.matmul(h[lo:hi], g_n[lo:hi, :, :, None], out=d_c[lo:hi])
-                # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
-                log_grad = carry_slab[:k]
-                first = 1 if lo == 0 else 0
-                log_grad[:first] = 0
-                log_grad[first:] *= h[lo + first - 1:hi - 1]
-                np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
-                d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
-            dh_b = dh_b[:, :, 0]
-            if delta.requires_grad:
-                _acc(delta, (u_n * dh_b + d_log).transpose(1, 0, 2))
-            if A.requires_grad:
-                _acc(A, d_a.T)
-            if u.requires_grad:
-                _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 0, 2))
-            if B_ssm.requires_grad:
-                _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
-            if C_ssm.requires_grad:
-                _acc(C_ssm, d_c[:, :, :, 0].transpose(1, 0, 2))
-            if D_skip.requires_grad:
-                _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
-        out._backward = back
-    return out
+    def back(g):
+        g_n = g.transpose(1, 0, 2)
+        # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
+        dh_b = np.empty((n_tokens, batch, 1, channels), dtype)
+        d_log = np.empty_like(delta_u)
+        d_a = np.zeros_like(a_t, dtype=dtype)
+        d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
+        d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
+        dh_slab = np.empty_like(slab)
+        carry_slab = np.empty_like(slab)
+        carry = np.zeros(h.shape[1:], dtype)                       # decay_{t+1} * dh_{t+1}
+        for lo, hi in reversed(runs):
+            k = hi - lo
+            dec = decays(lo, hi)
+            dh = np.multiply(c_n[lo:hi].swapaxes(-1, -2), g_n[lo:hi, :, None, :], out=dh_slab[:k])
+            for t in range(k - 1, -1, -1):
+                dh[t] += carry
+                carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
+            carry = carry.copy()   # it is carry_slab[0], overwritten below
+            np.matmul(b_n[lo:hi], dh, out=dh_b[lo:hi])
+            np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
+            np.matmul(h[lo:hi], g_n[lo:hi, :, :, None], out=d_c[lo:hi])
+            # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
+            log_grad = carry_slab[:k]
+            first = 1 if lo == 0 else 0
+            log_grad[:first] = 0
+            log_grad[first:] *= h[lo + first - 1:hi - 1]
+            np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
+            d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
+        dh_b = dh_b[:, :, 0]
+        if delta.requires_grad:
+            _acc(delta, (u_n * dh_b + d_log).transpose(1, 0, 2))
+        if A.requires_grad:
+            _acc(A, d_a.T)
+        if u.requires_grad:
+            _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 0, 2))
+        if B_ssm.requires_grad:
+            _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
+        if C_ssm.requires_grad:
+            _acc(C_ssm, d_c[:, :, :, 0].transpose(1, 0, 2))
+        if D_skip.requires_grad:
+            _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
+    return _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs, back)
 
 
 def pool_window_bounds(in_size: int, out_size: int) -> list:
@@ -746,43 +678,40 @@ def fuse_pool(x: Tensor) -> Tensor:
         avg += mx
         pooled[:, ids] = avg
 
-    out = _node(pooled, (x,))
-    if out.requires_grad:
-        def back(g):
-            # flat index into x of each block's first maximum: the first down
-            # each column, then the first of the block's 4 column maxima. A
-            # position only grows when argmax moves, so np.maximum records
-            # it; a window's repeated last row never moves it.
-            span = padded.shape[1]
-            # positions in int32, which moves half the bytes of intp
-            best = np.take(x.data, padded[:, 0], axis=1)                  # [B, E/4, E]
-            at = np.zeros(best.shape, np.int32)
-            for k in range(1, span):
-                slab = np.take(x.data, padded[:, k], axis=1)
-                np.maximum(at, _argmax_moves(slab, best) * np.int32(k), out=at)
-                np.maximum(slab, best, out=best)
-            col_best, pos = best[..., 0::4], at[..., 0::4].copy()        # pos = c * span + k
-            for c in range(1, 4):
-                moves = _argmax_moves(best[..., c::4], col_best)
-                np.maximum(pos, moves * (at[..., c::4] + c * span), out=pos)
-                np.maximum(best[..., c::4], col_best, out=col_best)
-            col, k = np.divmod(pos, span)
-            win = np.arange(quarter)
-            flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], k]) * embed
-                    + 4 * win + col)
-            # one row per window; the zero row `quarter` is the level index
-            # of a row that lies in fewer windows than the level
-            per_window = np.zeros((batch, quarter + 1, embed), g.dtype)
-            np.divide(np.repeat(g / 4, 4, axis=-1), width.astype(g.dtype)[:, None],
-                      out=per_window[:, :quarter])
-            gx = np.take(per_window, levels[0], axis=1)
-            for level in levels[1:]:
-                gx += np.take(per_window, level, axis=1)
-            g_max = np.zeros(x.data.size, g.dtype)
-            np.add.at(g_max, flat.ravel(), g.ravel())
-            _acc(x, gx + g_max.reshape(x.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        # flat index into x of each block's first maximum: the first down
+        # each column, then the first of the block's 4 column maxima. A
+        # position only grows when argmax moves, so np.maximum records
+        # it; a window's repeated last row never moves it.
+        span = padded.shape[1]
+        # positions in int32, which moves half the bytes of intp
+        best = np.take(x.data, padded[:, 0], axis=1)                  # [B, E/4, E]
+        at = np.zeros(best.shape, np.int32)
+        for k in range(1, span):
+            slab = np.take(x.data, padded[:, k], axis=1)
+            np.maximum(at, _argmax_moves(slab, best) * np.int32(k), out=at)
+            np.maximum(slab, best, out=best)
+        col_best, pos = best[..., 0::4], at[..., 0::4].copy()        # pos = c * span + k
+        for c in range(1, 4):
+            moves = _argmax_moves(best[..., c::4], col_best)
+            np.maximum(pos, moves * (at[..., c::4] + c * span), out=pos)
+            np.maximum(best[..., c::4], col_best, out=col_best)
+        col, k = np.divmod(pos, span)
+        win = np.arange(quarter)
+        flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], k]) * embed
+                + 4 * win + col)
+        # one row per window; the zero row `quarter` is the level index
+        # of a row that lies in fewer windows than the level
+        per_window = np.zeros((batch, quarter + 1, embed), g.dtype)
+        np.divide(np.repeat(g / 4, 4, axis=-1), width.astype(g.dtype)[:, None],
+                  out=per_window[:, :quarter])
+        gx = np.take(per_window, levels[0], axis=1)
+        for level in levels[1:]:
+            gx += np.take(per_window, level, axis=1)
+        g_max = np.zeros(x.data.size, g.dtype)
+        np.add.at(g_max, flat.ravel(), g.ravel())
+        _acc(x, gx + g_max.reshape(x.data.shape))
+    return _node(pooled, (x,), back)
 
 
 # --------------------------------------------------------------------------

@@ -105,7 +105,6 @@ class TrainResult:
     curve: list            # (epoch, train_mse, val_mse) per completed epoch
     best_epoch: int
     best_val: float
-    best_params: dict      # name -> array snapshot of the best-val model
     diverged: bool = False
     stopped_early: bool = False
 
@@ -116,7 +115,7 @@ def _snapshot(model: AttentionMambaModel) -> dict:
 
 def _restore(model: AttentionMambaModel, snapshot: dict) -> None:
     for name, t in model.named_parameters():
-        t.data = snapshot[name].copy()
+        t.data = snapshot[name]
 
 
 def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
@@ -228,4 +227,4 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
                 break
 
     _restore(model, best_params)
-    return TrainResult(curve, best_epoch, best_val, best_params, diverged, bad_epochs >= PATIENCE)
+    return TrainResult(curve, best_epoch, best_val, diverged, bad_epochs >= PATIENCE)

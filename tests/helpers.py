@@ -13,19 +13,16 @@ from attention_mamba.tensor_core import Tensor, _acc, _node, gradients
 
 def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Join tensors along one axis; the per-token tape scan oracle needs it."""
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def back(g):
-            start = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + size)
-                    _acc(t, g[tuple(sl)])
-                start += size
-        out._backward = back
-    return out
+    sizes = [t.data.shape[axis] for t in tensors]
+    def back(g):
+        start = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(start, start + size)
+                _acc(t, g[tuple(sl)])
+            start += size
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
 
 
 def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -39,23 +36,20 @@ def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     for k in range(width):
         y += weight.data[:, k] * xp[:, k:k + n_seq]
     y += bias.data
-    out = _node(y, (x, weight, bias))
-    if out.requires_grad:
-        def back(g):
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for k in range(width):
-                    gxp[:, k:k + n_seq] += weight.data[:, k] * g
-                _acc(x, gxp[:, width - 1:])
-            if weight.requires_grad:
-                gw = np.empty_like(weight.data)
-                for k in range(width):
-                    gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
-                _acc(weight, gw)
-            if bias.requires_grad:
-                _acc(bias, g.sum(axis=(0, 1)))
-        out._backward = back
-    return out
+    def back(g):
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for k in range(width):
+                gxp[:, k:k + n_seq] += weight.data[:, k] * g
+            _acc(x, gxp[:, width - 1:])
+        if weight.requires_grad:
+            gw = np.empty_like(weight.data)
+            for k in range(width):
+                gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
+            _acc(weight, gw)
+        if bias.requires_grad:
+            _acc(bias, g.sum(axis=(0, 1)))
+    return _node(y, (x, weight, bias), back)
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -276,7 +276,8 @@ class TestCheckpoint:
         cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8)
         model = AttentionMambaModel(cfg, np.random.default_rng(3))
         path = tmp_path / "model.ckpt"
-        save_model(path, model, extras={"scaler.mean": np.arange(3.0), "scaler.std": np.ones(3)})
+        tensors = {name: t.data for name, t in model.named_parameters()}
+        save_checkpoint(path, cfg, {**tensors, "scaler.mean": np.arange(3.0), "scaler.std": np.ones(3)})
         loaded, extras = load_model(path)
         for (name, orig), (_, new) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(orig.data.astype(np.float32), new.data)
@@ -297,13 +298,6 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTAMODEL!" + path.read_bytes()[10:])
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(bad)
-
-    def test_extra_colliding_with_parameter_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        extras = {"head.bias": np.zeros(4), "scaler.mean": np.zeros(3)}
-        with pytest.raises(ValueError, match=r"\['head.bias'\]"):
-            save_model(path, tiny_model(), extras=extras)
-        assert not path.exists()
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model()

@@ -221,6 +221,12 @@ def test_primitives_record_no_tape_under_no_grad(name, op, make):
     np.testing.assert_array_equal(out.data, op(*leaves).data)
 
 
+@pytest.mark.parametrize("name,op,make", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitives_record_no_tape_on_constants(name, op, make):
+    out = op(*[Tensor(a) for a in make()])
+    assert not out.requires_grad and out._prev == () and out._backward is None
+
+
 class TestNoGrad:
     def test_scan_records_no_tape(self):
         # u, delta [B=2, N=5, C=3], A [C, S=4], B/C [B, N, S], D [C]

@@ -239,7 +239,6 @@ class TestTrain:
         assert len(result.curve) == nan_from and result.best_epoch == nan_from - 1
         for (name, t), (_, ref) in zip(model.named_parameters(), good.named_parameters()):
             np.testing.assert_array_equal(t.data, ref.data, err_msg=name)
-            np.testing.assert_array_equal(result.best_params[name], ref.data, err_msg=name)
 
     def test_underflowed_step_size_rolls_back(self):
         # softplus(-200) is 0.0 in float32, so the scan sees a zero step size
@@ -265,11 +264,13 @@ class TestTrain:
         assert len(result.curve) - 1 - result.best_epoch == training.PATIENCE
 
     def test_best_checkpoint_retained_and_restored(self):
+        ds = tiny_dataset()
         model = tiny_model()
-        result = train(model, tiny_dataset(), TrainRunConfig(epochs=8, batch_size=16))
-        assert set(result.best_params) == {n for n, _ in model.named_parameters()}
-        for name, t in model.named_parameters():
-            np.testing.assert_array_equal(t.data, result.best_params[name])
+        result = train(model, ds, TrainRunConfig(epochs=8, batch_size=16))
+        best = tiny_model()   # the same seeded run, stopped after its best epoch
+        train(best, ds, TrainRunConfig(epochs=result.best_epoch + 1, batch_size=16))
+        for (name, t), (_, ref) in zip(model.named_parameters(), best.named_parameters()):
+            np.testing.assert_array_equal(t.data, ref.data, err_msg=name)
         vals = [v for _, _, v in result.curve]
         assert abs(result.best_val - min(vals)) < 1e-12
 
