@@ -21,15 +21,18 @@ documented contract, but the general rule is implemented because RevIN's
 [B, 1, N] statistics broadcast over the time axis.
 
 Two ops are single fused nodes with hand-written backwards rather than
-chains of small nodes: the selective scan (``selective_scan``), which keeps
-its states channels-last, [N, B, S, C], and reads them out by matmul, and
-the adaptive average-plus-max pooling of query and key from [B, N, E] to
-[B, E/4, E/4] (``fuse_pool``). Its forward gathers the k-th row of every
-window as one [B, windows, E] slab and pools across slabs, then across
-strided column views, in whole-array passes; it adds them in the order
-numpy's mean sums a short axis, so the bits are those of numpy's mean.
-The argmax that routes its max gradient runs in the backward alone. The
-causal depthwise convolution is one contraction over a window view,
+chains of small nodes. The selective scan (``selective_scan``) builds its
+states channels-last, [B, S, C] a token, in cache-sized runs of tokens and
+reads each run out by matmul. Its node keeps only each run's last state,
+[runs, B, S, C], never the [N, B, S, C] states of every token: the backward
+rebuilds a run's decays and states from the previous run's last state, then
+runs the reverse recurrence. The adaptive average-plus-max pooling of query
+and key from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) gathers the k-th
+row of every window as one [B, windows, E] slab and pools across slabs,
+then across strided column views, in whole-array passes; it adds them in
+the order numpy's mean sums a short axis, so the bits are those of numpy's
+mean. The argmax that routes its max gradient runs in the backward alone.
+The causal depthwise convolution is one contraction over a window view,
 forward and backward.
 
 ``backward`` frees each interior node's gradient once the node has passed
@@ -450,14 +453,16 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         y_t = C_t @ h_t + D * u_t
     delta must be strictly positive (and A negative) for a stable step.
 
-    Inside, the states are channels-last, [N, B, S, C], so every broadcast
-    runs along contiguous rows of C channels. The work goes in runs of
-    tokens small enough to stay in cache: each run builds its decays
-    exp(delta_t * A^T) and drives (delta_t * u_t) * B_t^T in bulk,
-    overwrites the drives in place with the states, and reads out all its
-    tokens with one stacked matmul [k, B, 1, S] @ [k, B, S, C]. The node
-    saves only the states h; the backward rebuilds each run's decays, runs
-    the reverse recurrence
+    Inside, the states are channels-last, [B, S, C] a token, so every
+    broadcast runs along contiguous rows of C channels. The work goes in runs
+    of tokens small enough to stay in cache. One helper builds a run's decays
+    exp(delta_t * A^T) and states into [k, B, S, C] slabs: the outer products
+    in bulk, then the recurrence from the previous run's last state. The
+    forward reads each run out with one stacked matmul [k, B, 1, S] @
+    [k, B, S, C] and copies the run's last state into a [runs, B, S, C] array;
+    that array, not the [N, B, S, C] states, is what the node keeps. The
+    backward walks the runs in reverse: it rebuilds each run's decays and
+    states from the kept run-end state, runs the reverse recurrence
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
     and reads the gradients of all six inputs off dh and h in closed form,
     by matmuls and einsums over S. It forms all six on every run, since the
@@ -482,26 +487,36 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     a_t = np.ascontiguousarray(A.data.T)                     # [S, C]
     delta_n = delta.data.transpose(1, 0, 2)                  # [N, B, C] views
     u_n = u.data.transpose(1, 0, 2)
-    b_n = B_ssm.data.transpose(1, 0, 2)[:, :, None, :]       # [N, B, 1, S]
-    c_n = C_ssm.data.transpose(1, 0, 2)[:, :, None, :]
+    b_n = B_ssm.data.transpose(1, 0, 2)                      # [N, B, S] views
+    c_n = C_ssm.data.transpose(1, 0, 2)
     delta_u = delta_n * u_n
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
-    slab = np.empty((min(span, n_tokens), batch, state_dim, channels), dtype)
+    slab_shape = (min(span, n_tokens), batch, state_dim, channels)
+    ends = np.empty((len(runs), batch, state_dim, channels), dtype)   # run-end states
 
-    def decays(lo, hi):
-        dec = slab[:hi - lo]
-        np.multiply(delta_n[lo:hi, :, None, :], a_t, out=dec)
-        return np.exp(dec, out=dec)
+    def run_states(i, dec_slab, h_slab):
+        """Run i's decays and states, built in the slabs; the states start
+        from the previous run's last state, ends[i - 1], or from zero."""
+        lo, hi = runs[i]
+        dec, h = dec_slab[:hi - lo], h_slab[:hi - lo]
+        np.einsum("nbc,sc->nbsc", delta_n[lo:hi], a_t, out=dec)
+        np.exp(dec, out=dec)
+        np.einsum("nbc,nbs->nbsc", delta_u[lo:hi], b_n[lo:hi], out=h)
+        step = np.empty(slab_shape[1:], dtype)
+        prev = ends[i - 1] if i else None
+        for t in range(hi - lo):
+            if prev is not None:
+                h[t] += np.multiply(dec[t], prev, out=step)
+            prev = h[t]
+        return dec, h
 
-    h = np.empty((n_tokens, batch, state_dim, channels), dtype)
+    dec_slab, h_slab = np.empty(slab_shape, dtype), np.empty(slab_shape, dtype)
     y = np.empty((n_tokens, batch, 1, channels), dtype)
-    for lo, hi in runs:
-        dec = decays(lo, hi)
-        np.multiply(delta_u[lo:hi, :, None, :], b_n[lo:hi].swapaxes(-1, -2), out=h[lo:hi])
-        for t in range(max(lo, 1), hi):
-            h[t] += np.multiply(dec[t - lo], h[t - 1], out=dec[t - lo])
-        np.matmul(c_n[lo:hi], h[lo:hi], out=y[lo:hi])
+    for i, (lo, hi) in enumerate(runs):
+        _, h = run_states(i, dec_slab, h_slab)
+        np.matmul(c_n[lo:hi, :, None, :], h, out=y[lo:hi])
+        ends[i] = h[-1]
     y = y[:, :, 0]
     y += D_skip.data * u_n
     _add_macs(2 * n_tokens * batch * state_dim * channels)
@@ -513,25 +528,27 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         d_a = np.zeros_like(a_t, dtype=dtype)
         d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
         d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
-        dh_slab = np.empty_like(slab)
-        carry_slab = np.empty_like(slab)
-        carry = np.zeros(h.shape[1:], dtype)                       # decay_{t+1} * dh_{t+1}
-        for lo, hi in reversed(runs):
+        dec_slab, h_slab, dh_slab, carry_slab = (np.empty(slab_shape, dtype) for _ in range(4))
+        carry = np.zeros(slab_shape[1:], dtype)                    # decay_{t+1} * dh_{t+1}
+        for i in range(len(runs) - 1, -1, -1):
+            lo, hi = runs[i]
             k = hi - lo
-            dec = decays(lo, hi)
-            dh = np.multiply(c_n[lo:hi].swapaxes(-1, -2), g_n[lo:hi, :, None, :], out=dh_slab[:k])
+            dec, h = run_states(i, dec_slab, h_slab)
+            dh = np.einsum("nbs,nbc->nbsc", c_n[lo:hi], g_n[lo:hi], out=dh_slab[:k])
             for t in range(k - 1, -1, -1):
                 dh[t] += carry
                 carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
             carry = carry.copy()   # it is carry_slab[0], overwritten below
-            np.matmul(b_n[lo:hi], dh, out=dh_b[lo:hi])
+            np.matmul(b_n[lo:hi, :, None, :], dh, out=dh_b[lo:hi])
             np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
-            np.matmul(h[lo:hi], g_n[lo:hi, :, :, None], out=d_c[lo:hi])
+            np.matmul(h, g_n[lo:hi, :, :, None], out=d_c[lo:hi])
             # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
             log_grad = carry_slab[:k]
-            first = 1 if lo == 0 else 0
-            log_grad[:first] = 0
-            log_grad[first:] *= h[lo + first - 1:hi - 1]
+            log_grad[1:] *= h[:k - 1]
+            if i:
+                log_grad[0] *= ends[i - 1]
+            else:
+                log_grad[0] = 0
             np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
             d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
         dh_b = dh_b[:, :, 0]

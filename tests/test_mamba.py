@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
     c = rng.standard_normal((batch, n, state))
     d = rng.standard_normal(channels)
     u, delta = (np.ascontiguousarray(a.swapaxes(1, 2)) for a in (u, delta))
+    return u, delta, a_mat, b, c, d
+
+
+def with_signed_zeros(rng, arrays):
+    """A copy of scan inputs with +0.0 and -0.0 in about a third of the token
+    rows of u and of the entries of B, C and D; delta and A stay nonzero."""
+    u, delta, a_mat, b, c, d = (a.copy() for a in arrays)
+    for x, lead in ((u, 2), (b, 3), (c, 3), (d, 1)):
+        mask = rng.random(x.shape[:lead]) < 0.35
+        signs = np.where(rng.random(int(mask.sum())) < 0.5, -0.0, 0.0)
+        x[mask] = signs.reshape((-1,) + (1,) * (x.ndim - lead))
     return u, delta, a_mat, b, c, d
 
 
@@ -156,24 +169,32 @@ class TestFusedScanOracle:
                 state=int(rng.integers(1, 9)),
             )
 
+    @staticmethod
+    def sweep_inputs(rng):
+        """Each sweep's inputs, then the same inputs with signed zeros."""
+        for dims in TestFusedScanOracle.sweep_dims(rng):
+            arrays = random_scan_inputs(rng, **dims)
+            yield dims, arrays
+            yield dict(dims, signed_zeros=True), with_signed_zeros(rng, arrays)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bit_identical_to_tape_scan(self, dtype, monkeypatch):
+        # byte equality, so a zero output must carry the reference's sign
         rng = np.random.default_rng(11)
         for run in RUN_SIZES:
             monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
-            for dims in self.sweep_dims(rng):
-                tensors = [Tensor(a.astype(dtype)) for a in random_scan_inputs(rng, **dims)]
+            for dims, arrays in self.sweep_inputs(rng):
+                tensors = [Tensor(a.astype(dtype)) for a in arrays]
                 got = selective_scan(*tensors).data
                 want = tape_scan_reference(*tensors).data
                 assert got.dtype == dtype
-                assert np.array_equal(got, want), (run, dims)
+                assert got.tobytes() == want.tobytes(), (run, dims)
 
     def test_gradients_match_tape_scan_float64(self, monkeypatch):
         rng = np.random.default_rng(12)
         for run in RUN_SIZES:
             monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
-            for dims in self.sweep_dims(rng):
-                arrays = random_scan_inputs(rng, **dims)
+            for dims, arrays in self.sweep_inputs(rng):
                 probe = Tensor(rng.standard_normal(arrays[0].shape))
                 grads = []
                 for scan in (selective_scan, tape_scan_reference):
@@ -182,6 +203,35 @@ class TestFusedScanOracle:
                 for idx, (got, want) in enumerate(zip(*grads)):
                     err = rel_error(got, want)
                     assert err < 1e-9, f"run {run}, {dims}, input {idx}: rel err {err}"
+
+    def test_two_sweeps_over_one_graph_give_the_same_gradients(self, monkeypatch):
+        # the backward reads the forward's run-end states; it must not write them
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 3 * (3 * 4 * 2))   # 5 runs
+        rng = np.random.default_rng(14)
+        arrays = random_scan_inputs(rng, batch=3, channels=4, n=13, state=2)
+        probe = Tensor(rng.standard_normal(arrays[0].shape))
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = (selective_scan(*leaves) * probe).sum()
+        first, second = gradients(loss, leaves), gradients(loss, leaves)
+        for idx, (a, b) in enumerate(zip(first, second)):
+            assert a.tobytes() == b.tobytes(), f"input {idx}"
+
+    def test_node_keeps_run_end_states_not_every_state(self, monkeypatch):
+        # 12 runs of 8 tokens; float64 states of every token would take every_state bytes
+        batch, channels, n_tokens, state = 2, 32, 96, 16
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 8 * batch * channels * state)
+        leaves = [Tensor(a, requires_grad=True) for a in random_scan_inputs(
+            np.random.default_rng(15), batch=batch, channels=channels, n=n_tokens, state=state)]
+        every_state = n_tokens * batch * state * channels * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = selective_scan(*leaves)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert kept < every_state / 2, f"{kept} bytes kept, all states are {every_state}"
 
     @pytest.mark.parametrize("wanted", [(0, 3), (1, 2, 5), (4,)])
     def test_gradcheck_with_some_inputs_constant(self, wanted, monkeypatch):
