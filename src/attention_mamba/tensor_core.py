@@ -27,13 +27,11 @@ reads each run out by matmul. Its node keeps only each run's last state,
 [runs, B, S, C], never the [N, B, S, C] states of every token: the backward
 rebuilds a run's decays and states from the previous run's last state, then
 runs the reverse recurrence. The adaptive average-plus-max pooling of query
-and key from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) gathers the k-th
-row of every window as one [B, windows, E] slab and pools across slabs,
-then across strided column views, in whole-array passes; it adds them in
-the order numpy's mean sums a short axis, so the bits are those of numpy's
-mean. The argmax that routes its max gradient runs in the backward alone.
-The causal depthwise convolution is one contraction over a window view,
-forward and backward.
+and key from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) averages by one
+matmul with a cached [E/4, N] map, and folds maxima over gathered row slabs,
+then strided column views; the argmax that routes its max gradient runs in
+the backward alone. The causal depthwise convolution is one contraction
+over a window view, forward and backward.
 
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
@@ -581,38 +579,6 @@ def pool_window_bounds(in_size: int, out_size: int) -> list:
     ]
 
 
-def _pairwise_sum(terms: list) -> np.ndarray:
-    """Sum equal-shape arrays in the order np.add.reduce sums a contiguous
-    axis of len(terms) elements, so the result matches it bit for bit.
-
-    That order is numpy's pairwise summation: from a start of +0.0, one
-    term after another below 8 terms; from 8 to 128, eight running sums
-    (term i goes to sum i % 8) joined as a tree, then the leftover terms
-    one by one; above 128, the halves split at a multiple of 8, each summed
-    this way. The +0.0 start is what turns a sum of -0.0 terms into +0.0.
-    fuse_pool sums its windows with it, so its means keep numpy's bits.
-    """
-    n = len(terms)
-    if n < 8:
-        total = terms[0] + 0.0
-        for t in terms[1:]:
-            total += t
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    tail = n - n % 8
-    acc = terms[:8]
-    for i in range(8, tail, 8):
-        acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
-    while len(acc) > 1:
-        acc = [acc[i] + acc[i + 1] for i in range(0, len(acc), 2)]
-    total = acc[0] + 0.0
-    for t in terms[tail:]:
-        total += t
-    return total
-
-
 def _argmax_moves(new: np.ndarray, best: np.ndarray) -> np.ndarray:
     """Where argmax, having found `best` so far, moves on to a later `new`:
     new is greater, or new is NaN and best is not (the first NaN wins)."""
@@ -620,55 +586,49 @@ def _argmax_moves(new: np.ndarray, best: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _row_windows(n_rows: int, n_out: int) -> tuple:
-    """Index arrays for pooling n_rows rows into n_out adaptive windows.
+def _row_windows(n_rows: int, n_out: int, dtype: np.dtype) -> tuple:
+    """The cached, read-only arrays that pool n_rows rows into n_out windows.
 
-    Per window width w (adaptive windows have at most two): w, the ids of
-    the windows that wide and their rows as a [windows, w] array, whose
-    column k gathers the k-th row of every such window at once. Then, for
-    the backward: each window's width, its rows padded to the widest window
-    by repeating its last row, and per level k the k-th window holding each
-    row (n_out where the row lies in k windows or fewer).
+    ``average``, [n_out, n_rows] in `dtype`: row i holds 1/(4*width) on the
+    rows of window i and 0 elsewhere, so one matmul with it takes every
+    window's mean with the 1/4 of the column mean folded in. The scale is
+    exact when the width is a power of two and rounds otherwise.
+    ``padded``, [n_out, widest window], lists each window's rows, padded by
+    repeating its last row, which cannot change a maximum.
     """
     start, stop = np.array(pool_window_bounds(n_rows, n_out)).T
     width = stop - start
+    inside = (start[:, None] <= np.arange(n_rows)) & (np.arange(n_rows) < stop[:, None])
+    average = np.where(inside, 1.0 / (4 * width[:, None]), 0.0).astype(dtype)
     padded = np.minimum(start[:, None] + np.arange(width.max()), stop[:, None] - 1)
-    groups = []
-    for w in np.unique(width).tolist():
-        ids = np.flatnonzero(width == w)
-        groups.append((w, ids, padded[ids, :w]))
-    rows = np.arange(n_rows)
-    first = np.searchsorted(stop, rows, side="right")
-    last = np.searchsorted(start, rows, side="right") - 1
-    levels = tuple(np.where(first + k <= last, first + k, n_out)
-                   for k in range(int((last - first).max()) + 1))
-    for shared in (width, padded, *levels, *(a for group in groups for a in group[1:])):
+    for shared in (average, padded):
         shared.flags.writeable = False   # the cache hands them to every caller
-    return tuple(groups), width, padded, levels
+    return average, padded
 
 
 def fuse_pool(x: Tensor) -> Tensor:
     """Adaptive average plus adaptive max pooling of [B, N, E] to [B, E/4, E/4].
 
     Output (i, j) pools the block of rows pool_window_bounds(N, E/4)[i]
-    (overlapping when N < E/4) and columns 4j..4j+3. Results and gradients
-    are bit-identical to pooling rows, then columns, one axis at a time with
-    numpy's mean and argmax: the average is a mean of row-window means, the
-    max gradient goes to the block's first maximum with columns outermost,
-    and the backward adds a row's average terms in window order, then its
-    max terms. (A NaN output stays NaN, but its sign bit may differ.)
+    (overlapping when N < E/4) and columns 4j..4j+3. The average is one
+    matmul by ``_row_windows``' map, [E/4, N] @ [B, N, E], then the 4
+    strided column views added left to right; its gradient is the
+    transposed matmul. Where no window has more than 2 rows (whenever
+    N <= E/4, as at weather's N=21, E=128) the output is bit-identical to
+    pooling rows, then columns, one axis at a time with numpy's mean, but
+    for the sign of a zero: a block of signed zeros averages to +0.0. So is
+    the gradient where, in addition, no row lies in more than 2 windows.
+    Wider sums round apart from numpy's by a few ulps. As the matmul
+    weighs every row, a NaN or infinity in x makes the average of every
+    window of its column non-finite (0 * inf is NaN, and warns).
 
-    The forward runs per window width, as numpy's sum order depends on it,
-    over [B, windows, E] slabs: slab k holds the k-th row of every window
-    that wide, taken in one gather. The row means add the slabs in the
-    order numpy's mean sums a window (``_pairwise_sum``), then divide by
-    the width; the column means add the 4 strided column views the same
-    way and divide by 4. The maxima are np.maximum across slabs, then
-    across column views, the later operand first: on a tie of -0.0 and
-    +0.0 np.maximum returns its second operand, so the first maximum wins,
-    as with argmax. The argmax itself runs only in the backward, from x's
-    data, so a forward that records no tape (a forecast, or evaluation
-    under no_grad) never pays for it.
+    The maxima fold np.maximum over the ``padded`` row slabs, then the
+    column views, in an operand order that is not promised: on a tie of
+    -0.0 and +0.0 either may come out. The max gradient goes to the
+    block's first maximum with columns outermost, as argmax picks it (the
+    first NaN, if any), and is added after the average's. The argmax runs
+    only in the backward, from x's data, so a forward that records no tape
+    (a forecast, or evaluation under no_grad) never pays for it.
     """
     if x.data.ndim != 3 or x.data.shape[1] < 1 or x.data.shape[2] < 4 or x.data.shape[2] % 4:
         raise ShapeError(
@@ -677,30 +637,22 @@ def fuse_pool(x: Tensor) -> Tensor:
         )
     batch, n_rows, embed = x.data.shape
     quarter = embed // 4
-    groups, width, padded, levels = _row_windows(n_rows, quarter)
+    average, padded = _row_windows(n_rows, quarter, x.data.dtype)
+    span = padded.shape[1]
 
-    pooled = np.empty((batch, quarter, quarter), x.data.dtype)
-    for w, ids, rows in groups:
-        slabs = [np.take(x.data, rows[:, k], axis=1) for k in range(w)]   # [B, windows, E]
-        row_avg = _pairwise_sum(slabs)
-        row_avg /= w
-        row_max = slabs[0]
-        for slab in slabs[1:]:
-            row_max = np.maximum(slab, row_max, out=slab)
-        avg = _pairwise_sum([row_avg[..., c::4] for c in range(4)])
-        avg /= 4
-        mx = row_max[..., 0::4]
-        for c in range(1, 4):
-            mx = np.maximum(row_max[..., c::4], mx)
-        avg += mx
-        pooled[:, ids] = avg
+    rows = np.matmul(average, x.data)                                  # [B, E/4, E]
+    pooled = rows[..., 0::4] + rows[..., 1::4] + rows[..., 2::4] + rows[..., 3::4]
+    row_max = np.take(x.data, padded[:, 0], axis=1)                    # [B, E/4, E]
+    for k in range(1, span):
+        np.maximum(row_max, np.take(x.data, padded[:, k], axis=1), out=row_max)
+    pooled += np.maximum(np.maximum(row_max[..., 0::4], row_max[..., 1::4]),
+                         np.maximum(row_max[..., 2::4], row_max[..., 3::4]))
 
     def back(g):
         # flat index into x of each block's first maximum: the first down
         # each column, then the first of the block's 4 column maxima. A
         # position only grows when argmax moves, so np.maximum records
         # it; a window's repeated last row never moves it.
-        span = padded.shape[1]
         # positions in int32, which moves half the bytes of intp
         best = np.take(x.data, padded[:, 0], axis=1)                  # [B, E/4, E]
         at = np.zeros(best.shape, np.int32)
@@ -717,17 +669,11 @@ def fuse_pool(x: Tensor) -> Tensor:
         win = np.arange(quarter)
         flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], k]) * embed
                 + 4 * win + col)
-        # one row per window; the zero row `quarter` is the level index
-        # of a row that lies in fewer windows than the level
-        per_window = np.zeros((batch, quarter + 1, embed), g.dtype)
-        np.divide(np.repeat(g / 4, 4, axis=-1), width.astype(g.dtype)[:, None],
-                  out=per_window[:, :quarter])
-        gx = np.take(per_window, levels[0], axis=1)
-        for level in levels[1:]:
-            gx += np.take(per_window, level, axis=1)
+        gx = np.matmul(average.T, np.repeat(g, 4, axis=-1))
         g_max = np.zeros(x.data.size, g.dtype)
         np.add.at(g_max, flat.ravel(), g.ravel())
-        _acc(x, gx + g_max.reshape(x.data.shape))
+        gx += g_max.reshape(x.data.shape)
+        _acc(x, gx)
     return _node(pooled, (x,), back)
 
 

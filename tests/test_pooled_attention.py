@@ -71,6 +71,19 @@ def fuse_pool_grad_oracle(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return avg + mx
 
 
+def assert_matches_oracle(got: np.ndarray, want: np.ndarray, x: np.ndarray) -> None:
+    """fuse_pool(x) against the oracle: bit-identical while no row window is
+    wider than 2 rows (always when N <= E/4), as every scale of the average
+    is then a power of two and a window sums at most 2 terms; within
+    w_max * eps * max|x| of it otherwise, w_max being the widest window."""
+    w_max = max(end - start for start, end in windows(x.shape[1], x.shape[2] // 4))
+    if w_max <= 2:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=w_max * np.finfo(x.dtype).eps * np.abs(x).max())
+
+
 class TestAdaptivePool1d:
     """Each half of fuse_pool along the token axis, which pools adaptively
     into E/4 windows; the inputs of max_half_input and avg_half_input make
@@ -104,7 +117,10 @@ class TestAdaptivePool1d:
             for quarter in range(1, 17):
                 x = self.HALF_INPUT[mode](RNG.standard_normal((2, n_rows, 4 * quarter)))
                 got = fuse_pool(Tensor(x)).data
-                np.testing.assert_array_equal(got, two_axes(x, mode))
+                if mode == "avg":
+                    assert_matches_oracle(got, two_axes(x, mode), x)
+                else:
+                    np.testing.assert_array_equal(got, two_axes(x, mode))
 
 
 class TestFusePool:
@@ -124,14 +140,14 @@ class TestFusePool:
         got = fuse_pool(Tensor(x)).data
         np.testing.assert_array_equal(got, two_axes(x, "avg") + two_axes(x, "max"))
 
-    def test_fuse_equals_avg_plus_max_exactly(self):
-        # the bench shapes: row windows of width 1-2 (N=21) and 11-12 (N=321),
-        # and Traffic's N=862, 27-28 rows, summed in eight running sums
+    def test_fuse_equals_avg_plus_max(self):
+        # the bench shapes: row windows of width 1-2 (N=21, exact) and 11-12
+        # (N=321), and Traffic's N=862, 27-28 rows
         for n_rows, dtype in ((21, np.float32), (321, np.float32), (321, np.float64), (862, np.float32)):
             x = RNG.standard_normal((2, n_rows, 128)).astype(dtype)
             out = fuse_pool(Tensor(x)).data
             assert out.dtype == dtype
-            np.testing.assert_array_equal(out, two_axes(x, "avg") + two_axes(x, "max"))
+            assert_matches_oracle(out, two_axes(x, "avg") + two_axes(x, "max"), x)
 
     def test_taped_and_untaped_forwards_agree(self):
         # the taped forward only adds the backward closure
@@ -151,7 +167,7 @@ class TestFusePool:
             for embed in (4, 8, 16, 32):
                 x = RNG.standard_normal((2, n_rows, embed)).astype(dtype)
                 got = fuse_pool(Tensor(x)).data
-                np.testing.assert_array_equal(got, two_axes(x, "avg") + two_axes(x, "max"))
+                assert_matches_oracle(got, two_axes(x, "avg") + two_axes(x, "max"), x)
 
     def test_seven_rows_to_three_windows(self):
         # rows 0-2, 2-4 and 4-6; every column holds its row index
@@ -166,10 +182,20 @@ class TestFusePool:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_gradient_matches_window_oracle(self, dtype):
         # rows pooled down (to 11-12 row windows at electricity's N=321), then
-        # rows in up to 2, 3 (weather's N=21, E=128) and 8 windows
+        # rows in up to 2, 3 (weather's N=21, E=128) and 8 windows. The
+        # average's gradient is a matmul that sums each row's windows in its
+        # own order, so it is exact only where every row lies in at most 2
+        # windows of at most 2 rows. Elsewhere it is held to the forward's
+        # bound, in g and with the widest sum of either matmul: w_max rows a
+        # window, or k_max windows a row.
         for shape in ((2, 21, 32), (3, 12, 16), (1, 16, 4), (2, 321, 128), (2, 7, 32), (2, 21, 128),
                       (1, 3, 32), (2, 1, 32)):
+            bounds = windows(shape[1], shape[2] // 4)
+            w_max = max(end - start for start, end in bounds)
+            k_max = max(sum(start <= r < end for start, end in bounds) for r in range(shape[1]))
+            exact = w_max <= 2 and k_max <= 2
             g = RNG.standard_normal((shape[0], shape[2] // 4, shape[2] // 4)).astype(dtype)
+            atol = max(w_max, k_max) * np.finfo(dtype).eps * np.abs(g).max()
             # continuous values, small integers (ties across rows and columns),
             # and NaNs, where argmax picks a block's first NaN
             holes = np.where(RNG.random(shape) < 0.1, np.nan, RNG.standard_normal(shape))
@@ -178,7 +204,11 @@ class TestFusePool:
                 leaf = Tensor(x, requires_grad=True)
                 backward((fuse_pool(leaf) * Tensor(g)).sum())
                 assert leaf.grad.dtype == dtype
-                assert np.array_equal(leaf.grad, fuse_pool_grad_oracle(x, g)), shape
+                want = fuse_pool_grad_oracle(x, g)
+                if exact:
+                    assert np.array_equal(leaf.grad, want), shape
+                else:
+                    np.testing.assert_allclose(leaf.grad, want, rtol=0, atol=atol, err_msg=str(shape))
 
     def test_one_tape_node_whatever_the_length(self):
         for n_rows in (1, 7, 40):

@@ -18,7 +18,7 @@ from attention_mamba.tensor_core import (
     selective_scan,
     slice_axis,
     softmax_last,
-    _pairwise_sum,
+    _row_windows,
 )
 from helpers import concatenate, conv1d_per_tap, gradcheck, rel_error
 
@@ -270,28 +270,18 @@ class TestReductionsAndRouting:
         expected[0, 1, 1] += 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
-    def test_signed_zero_tie_keeps_the_first_maximum(self):
-        # one 1x4 block whose maxima are -0.0, then +0.0; its average
-        # underflows to -0.0, so the output's sign shows which zero won
-        tiny = np.finfo(np.float64).smallest_subnormal
-        out = fuse_pool(Tensor(np.array([[[-0.0, 0.0, -tiny, 0.0]]]))).data
-        assert out.tobytes() == np.array([[[-0.0]]]).tobytes()
-
-
-class TestPairwiseSum:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_add_reduce_over_a_contiguous_axis(self, dtype):
-        # fuse_pool's means are bit-identical to numpy's only while numpy
-        # sums a contiguous axis in this order: 1 to 7 terms one by one, 8
-        # to 40 in eight running sums, with and without leftover terms
-        rng = np.random.default_rng(11)
-        for n in range(1, 41):
-            a = (rng.standard_normal((64, n)) * 10.0 ** rng.integers(-4, 5, (64, n))).astype(dtype)
-            a[0] = -0.0   # numpy's +0.0 start makes this row's sum +0.0
-            got = _pairwise_sum([a[:, k] for k in range(n)])
-            want = np.add.reduce(a, axis=-1)
-            assert got.dtype == dtype
-            assert got.tobytes() == want.tobytes(), n
+    def test_row_windows_are_cached_read_only_maps(self):
+        # E/4 = 32 windows over N < E/4 (overlapping), N = E/4 and N > E/4 rows
+        dtype = np.dtype(np.float32)
+        for n_rows in (7, 32, 321):
+            average, padded = _row_windows(n_rows, 32, dtype)
+            again = _row_windows(n_rows, 32, dtype)
+            assert again[0] is average and again[1] is padded
+            assert not average.flags.writeable and not padded.flags.writeable
+            assert average.shape == (32, n_rows) and average.dtype == dtype
+            for i, (start, stop) in enumerate(pool_window_bounds(n_rows, 32)):
+                np.testing.assert_array_equal(np.flatnonzero(average[i]), np.arange(start, stop))
+                np.testing.assert_array_equal(np.unique(padded[i]), np.arange(start, stop))
 
 
 class TestCausalConv:
