@@ -72,8 +72,6 @@ class RevIN:
 
     def denormalize(self, y: Tensor, state: RevInState) -> Tensor:
         """Invert the affine, then restore mu/sigma; y is [B, T, N]."""
-        if state is None:
-            raise ValueError("denormalize requires the state produced by normalize")
         if y.data.ndim != 3 or y.data.shape[0] != state.mu.data.shape[0] \
                 or y.data.shape[2] != state.mu.data.shape[2]:
             raise ShapeError(

@@ -8,6 +8,13 @@ matrix whose cost, (E/4)^3 MACs per batch element, is independent of the
 variate count N, then softmaxed and projected back to [B, N, E] by two
 per-axis recovery maps. The score product is a call to this module's
 ``matmul``, so a caller can count its MACs by wrapping that name.
+
+The score product carries no 1/sqrt(d) scale, so training soon drives the
+score rows' ranges into the hundreds and most softmax rows to one-hot. The
+softmax's backward then makes float32 subnormals, which would slow every
+matmul behind it (the score product, and through GeLU and the pooling, the
+q/k projections) by up to an order of magnitude. ``softmax_last`` flushes
+them to zero in its backward, where they are made.
 """
 
 from __future__ import annotations

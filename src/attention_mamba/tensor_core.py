@@ -33,6 +33,8 @@ then strided column views; the argmax that routes its max gradient runs in
 the backward alone. The causal depthwise convolution is one contraction
 over a window view, forward and backward.
 
+``softmax_last``'s backward flushes subnormal input gradients to zero.
+
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
 tape: outputs are constants, so a forward holds only its live arrays.
@@ -351,13 +353,23 @@ def reverse(x: Tensor, axis: int) -> Tensor:
 
 
 def softmax_last(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
+    """Softmax along the last axis, stabilized by max subtraction.
+
+    The backward flushes to zero every input-gradient entry smaller in
+    magnitude than the dtype's smallest normal. A saturated row, one weight
+    near 1 and the rest near 0, makes s * (g - dot) mostly subnormal, and
+    every matmul the gradient then passes through runs an order of magnitude
+    slower on such operands. Entries at or above the smallest normal are
+    unchanged, bit for bit.
+    """
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
     def back(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _acc(x, s * (g - dot))
+        gx = s * (g - dot)
+        gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0
+        _acc(x, gx)
     return _node(s, (x,), back)
 
 

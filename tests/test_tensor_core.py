@@ -325,6 +325,22 @@ class TestInvariants:
         assert np.all(s >= 0)
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_saturated_softmax_gradient_has_no_subnormals(self):
+        # logit ranges of ~100-200, as a trained pooled attention's scores
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(-100, 100, (16, 32)).astype(np.float32), requires_grad=True)
+        g = rng.uniform(-2, 2, (16, 32)).astype(np.float32)
+        s = softmax_last(x)
+        backward((s * Tensor(g)).sum())
+        unflushed = s.data * (g - (g * s.data).sum(axis=-1, keepdims=True))
+        tiny = np.finfo(np.float32).tiny
+        normal = np.abs(unflushed) >= tiny
+        assert np.any((unflushed != 0) & ~normal)    # the unflushed gradient holds subnormals
+        assert x.grad.dtype == np.float32
+        assert not np.any((x.grad != 0) & (np.abs(x.grad) < tiny))
+        np.testing.assert_array_equal(x.grad[normal], unflushed[normal])
+        assert not np.any(x.grad[~normal])
+
     def test_element_count_matches_shape(self):
         x = Tensor(rand(3, 4, 5))
         assert x.data.size == 3 * 4 * 5
