@@ -26,14 +26,21 @@ states channels-last, [B, S, C] a token, in cache-sized runs of tokens and
 reads each run out by matmul. Its node keeps only each run's last state,
 [runs, B, S, C], never the [N, B, S, C] states of every token: the backward
 rebuilds a run's decays and states from the previous run's last state, then
-runs the reverse recurrence. The adaptive average-plus-max pooling of query
-and key from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) averages by one
-matmul with a cached [E/4, N] map, and folds maxima over gathered row slabs,
-then strided column views; the argmax that routes its max gradient runs in
-the backward alone. The causal depthwise convolution is one contraction
-over a window view, forward and backward.
+runs the reverse recurrence. Its einsums and matmuls read C-contiguous
+token-major [N, B, *] copies of delta, B and C (and, in the backward, of the
+upstream gradient): on the strided transposed views they took twice as
+long. The node keeps none of these copies; the backward makes its own from
+the parents' arrays. The adaptive
+average-plus-max pooling of query and key from [B, N, E] to [B, E/4, E/4]
+(``fuse_pool``) averages by one matmul with a cached [E/4, N] map, and
+folds maxima over gathered row slabs, then strided column views; the argmax
+that routes its max gradient runs in the backward alone. The causal
+depthwise convolution is one contraction over a window view, forward and
+backward.
 
 ``softmax_last``'s backward flushes subnormal input gradients to zero.
+SiLU and softplus's backward take the sigmoid from numpy's vectorised exp,
+not from scipy's scalar-loop ``expit``.
 
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
@@ -49,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf as _sp_erf, expit as _sp_expit
+from scipy.special import erf as _sp_erf
 
 __all__ = [
     "Tensor",
@@ -229,8 +236,10 @@ class Tensor:
         return _node(y, (self,), back)
 
     def silu(self) -> "Tensor":
+        """x * sigmoid(x), the sigmoid 1 / (1 + exp(-x)) by numpy's exp
+        (``_sigmoid``), at most 4 ulp from scipy's ``expit``."""
         x = self.data
-        s = _sp_expit(x)
+        s = _sigmoid(x)
         def back(g):
             _acc(self, g * (s * (1.0 + x * (1.0 - s))))
         return _node(x * s, (self,), back)
@@ -246,15 +255,34 @@ class Tensor:
 
     def softplus(self) -> "Tensor":
         """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), the form
-        np.logaddexp(0, x) takes per element, in whole-array passes."""
+        np.logaddexp(0, x) takes per element, in whole-array passes. Its
+        derivative, the sigmoid 1 / (1 + exp(-x)), is ``_sigmoid``'s, at
+        most 4 ulp from scipy's ``expit``."""
         x = self.data
         def back(g):
-            _acc(self, g * _sp_expit(x))
+            _acc(self, g * _sigmoid(x))
         return _node(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))), (self,), back)
 
 
 # --------------------------------------------------------------------------
 # internals
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, in whole-array passes over one buffer.
+
+    This is the formula of scipy's ``expit``, which runs it as a scalar
+    loop: at [16, 321, 128] float32 that took 4.4 ms against 1.0 ms for
+    numpy's vectorised exp. The two exps differ, so the results lie up to
+    4 ulp apart. exp(-x) overflows to inf for x below about -89 in float32
+    (-710 in float64), which gives the exact limit 0, so the overflow is
+    not an error; NaN stays NaN.
+    """
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1
+    return np.reciprocal(s, out=s)
+
 
 def _node(data: np.ndarray, parents: tuple, back) -> Tensor:
     """An op's output: taped, with `parents` and `back`, when taping is on and
@@ -477,6 +505,19 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     and reads the gradients of all six inputs off dh and h in closed form,
     by matmuls and einsums over S. It forms all six on every run, since the
     model trains every input; an input without requires_grad gets no .grad.
+
+    Both passes read C-contiguous token-major [N, B, *] copies of delta, B
+    and C, and the backward one of the upstream gradient: an outer-product
+    einsum over a run took half the time on them that it took on the
+    strided transposed views. The node keeps none of them, only what it
+    kept before (the run-end states and delta * u); the backward copies the
+    parents' arrays again. After freeing its slabs it forms u's gradient in
+    its copy of the upstream gradient and delta's in d_log, in place. Those
+    two are always copies, since at B=1 or N=1 np.ascontiguousarray would
+    return the caller's own array. A's gradient sums over the strided view
+    of delta, as the copy would change the order of summation. No bit of
+    any output or gradient changes.
+
     The readout by matmul sums over S in BLAS order, so outputs differ from
     a multiply-then-sum at rounding level. The forward counts 2*N*B*S*C
     multiply-accumulates: the state update and the readout.
@@ -495,17 +536,16 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     inputs = (u, delta, A, B_ssm, C_ssm, D_skip)
     dtype = np.result_type(*(t.data for t in inputs))
     a_t = np.ascontiguousarray(A.data.T)                     # [S, C]
-    delta_n = delta.data.transpose(1, 0, 2)                  # [N, B, C] views
-    u_n = u.data.transpose(1, 0, 2)
-    b_n = B_ssm.data.transpose(1, 0, 2)                      # [N, B, S] views
-    c_n = C_ssm.data.transpose(1, 0, 2)
+    u_n = u.data.transpose(1, 0, 2)                          # [N, B, C] view
+    delta_n, b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2))
+                         for t in (delta, B_ssm, C_ssm))
     delta_u = delta_n * u_n
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
     ends = np.empty((len(runs), batch, state_dim, channels), dtype)   # run-end states
 
-    def run_states(i, dec_slab, h_slab):
+    def run_states(i, delta_n, b_n, dec_slab, h_slab):
         """Run i's decays and states, built in the slabs; the states start
         from the previous run's last state, ends[i - 1], or from zero."""
         lo, hi = runs[i]
@@ -524,14 +564,16 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     dec_slab, h_slab = np.empty(slab_shape, dtype), np.empty(slab_shape, dtype)
     y = np.empty((n_tokens, batch, 1, channels), dtype)
     for i, (lo, hi) in enumerate(runs):
-        _, h = run_states(i, dec_slab, h_slab)
+        _, h = run_states(i, delta_n, b_n, dec_slab, h_slab)
         np.matmul(c_n[lo:hi, :, None, :], h, out=y[lo:hi])
         ends[i] = h[-1]
     y = y[:, :, 0]
     y += D_skip.data * u_n
     _add_macs(2 * n_tokens * batch * state_dim * channels)
     def back(g):
-        g_n = g.transpose(1, 0, 2)
+        b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2)) for t in (B_ssm, C_ssm))
+        # written in place below, so copies even where B or N is 1
+        delta_n, g_n = (np.array(a.transpose(1, 0, 2), order="C") for a in (delta.data, g))
         # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
         dh_b = np.empty((n_tokens, batch, 1, channels), dtype)
         d_log = np.empty_like(delta_u)
@@ -543,7 +585,7 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         for i in range(len(runs) - 1, -1, -1):
             lo, hi = runs[i]
             k = hi - lo
-            dec, h = run_states(i, dec_slab, h_slab)
+            dec, h = run_states(i, delta_n, b_n, dec_slab, h_slab)
             dh = np.einsum("nbs,nbc->nbsc", c_n[lo:hi], g_n[lo:hi], out=dh_slab[:k])
             for t in range(k - 1, -1, -1):
                 dh[t] += carry
@@ -560,14 +602,22 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
             else:
                 log_grad[0] = 0
             np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
-            d_a += np.einsum("nbsc,nbc->sc", log_grad, delta_n[lo:hi])
+            # on the strided view: the copy would change the reduction's order
+            d_a += np.einsum("nbsc,nbc->sc", log_grad, delta.data.transpose(1, 0, 2)[lo:hi])
+        # drop the slabs, and the loop's views of them, before the [N, B, C]
+        # gradients are formed in place: u's in the copy of g, delta's in d_log
+        del b_n, c_n, dec_slab, h_slab, dh_slab, carry_slab
+        dec = h = dh = log_grad = None
         dh_b = dh_b[:, :, 0]
+        g_n *= D_skip.data
+        g_n += np.multiply(delta_n, dh_b, out=delta_n)
+        d_log += np.multiply(u_n, dh_b, out=dh_b)
         if delta.requires_grad:
-            _acc(delta, (u_n * dh_b + d_log).transpose(1, 0, 2))
+            _acc(delta, d_log.transpose(1, 0, 2))
         if A.requires_grad:
             _acc(A, d_a.T)
         if u.requires_grad:
-            _acc(u, (D_skip.data * g_n + delta_n * dh_b).transpose(1, 0, 2))
+            _acc(u, g_n.transpose(1, 0, 2))
         if B_ssm.requires_grad:
             _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
         if C_ssm.requires_grad:

@@ -260,6 +260,39 @@ class TestFusedScanOracle:
             assert out._prev == tuple(leaves)
 
 
+class TestScanOperandLayout:
+    """The scan works on token-major copies of delta, B, C and g. The layout
+    it is given must not change a bit, and its in-place writes must not reach
+    the caller's arrays, which at B=1 or N=1 are already token-major."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch,n", [(1, 6), (3, 1), (3, 6)])
+    def test_strided_and_contiguous_b_c_give_the_same_bits(self, dtype, batch, n):
+        rng = np.random.default_rng(16)
+        u, delta, a_mat, b, c, d = (a.astype(dtype) for a in random_scan_inputs(
+            rng, batch=batch, channels=5, n=n, state=3))
+        g = rng.standard_normal(u.shape).astype(dtype)
+        before = [a.copy() for a in (u, delta, g)]
+        results = []
+        for strided in (True, False):
+            if strided:   # as the model slices B and C out of one projection
+                joint = Tensor(np.concatenate([b, c], axis=-1), requires_grad=True)
+                b_t, c_t = slice_axis(joint, 2, 0, 3), slice_axis(joint, 2, 3, 6)
+                assert not b_t.data.flags.c_contiguous
+            else:
+                b_t, c_t = Tensor(b.copy(), requires_grad=True), Tensor(c.copy(), requires_grad=True)
+            inputs = [Tensor(u, requires_grad=True), Tensor(delta, requires_grad=True),
+                      Tensor(a_mat, requires_grad=True), b_t, c_t, Tensor(d, requires_grad=True)]
+            out = selective_scan(*inputs)
+            out._backward(g)
+            results.append([out.data] + [t.grad for t in inputs])
+            for name, a, kept in zip(("u", "delta", "g"), (u, delta, g), before):
+                assert a.tobytes() == kept.tobytes(), f"the backward wrote into the caller's {name}"
+        for idx, (got, want) in enumerate(zip(*results)):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes(), f"array {idx} differs"
+
+
 class TestStability:
     def test_decay_factor_below_one(self):
         # A = -exp(A_log) and delta in (0, 10] keep |exp(delta*A)| < 1

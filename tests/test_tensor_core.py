@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from attention_mamba.tensor_core import (
     MacCounter,
@@ -19,6 +22,7 @@ from attention_mamba.tensor_core import (
     slice_axis,
     softmax_last,
     _row_windows,
+    _sigmoid,
 )
 from helpers import concatenate, conv1d_per_tap, gradcheck, rel_error
 
@@ -351,6 +355,38 @@ class TestInvariants:
         b = Tensor(rand(2).astype(np.float32))
         for out in (x * 2.0 + 1.0, x.gelu(), x.silu(), x.softplus(), softmax_last(x), affine(x, w, b)):
             assert out.data.dtype == np.float32
+
+
+class TestSigmoid:
+    """The numpy sigmoid that silu and softplus's backward use, against the
+    scalar loop of scipy's expit, which computes the same formula."""
+
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.int32), (np.float64, np.int64)])
+    def test_within_4_ulp_of_expit(self, dtype, bits):
+        # past exp's float32 overflow edge at x ~ -88.7
+        x = np.linspace(-120, 120, 480_001).astype(dtype)
+        got, want = _sigmoid(x), expit(x)
+        assert got.dtype == dtype
+        ulps = np.abs(got.view(bits).astype(np.int64) - want.view(bits).astype(np.int64))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("dtype,edge", [(np.float32, 200.0), (np.float64, 800.0)])
+    def test_exact_limits_nan_and_no_warning(self, dtype, edge):
+        # exp(edge) overflows in dtype, so the limits are exact
+        x = np.array([-edge, edge, -np.inf, np.inf, np.nan, 0.0], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigmoid(x)
+        assert s.dtype == dtype
+        np.testing.assert_array_equal(s, [0.0, 1.0, 0.0, 1.0, np.nan, 0.5])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_and_softplus_gradient_use_it(self, dtype):
+        x = Tensor(rand(4, 6, lo=-30, hi=30).astype(dtype), requires_grad=True)
+        s = _sigmoid(x.data)
+        assert x.silu().data.tobytes() == (x.data * s).tobytes()
+        backward(x.softplus().sum())
+        assert x.grad.tobytes() == s.tobytes()
 
 
 class TestPoolWindows:
