@@ -227,7 +227,11 @@ class Scaler:
         return Scaler(mean=mean, std=std)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+        """(values - mean) / std, the division done in place: one array
+        the size of `values` instead of two."""
+        out = values - self.mean
+        out /= self.std
+        return out
 
 
 @dataclass

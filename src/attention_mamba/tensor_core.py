@@ -42,6 +42,22 @@ backward.
 SiLU and softplus's backward take the sigmoid from numpy's vectorised exp,
 not from scipy's scalar-loop ``expit``.
 
+What a node keeps is its parents plus what its backward closure names; an
+array the backward can rebuild cheaply from its parents' data is rebuilt
+rather than kept. The arithmetic ops, matmul, ``slice_axis``, ``reverse``,
+the transposes and the reductions keep nothing of their own (``slice_axis``
+only its index); ``affine`` keeps x as a 2-D matrix, a view unless x is
+strided. ``exp``, ``sqrt`` and ``softmax_last`` keep their outputs, and
+``gelu`` its normal cdf, the size of x. ``silu`` keeps no sigmoid: its
+backward recomputes it from x, as ``softplus``'s does. The causal
+convolution keeps its [K, C] taps; its backward rebuilds the padded window
+view of x for the kernel gradient. The selective scan keeps A^T and its
+[runs, B, S, C] run-end states; its backward rebuilds each run's delta * u,
+decays and states, and its token-major copies of delta, B, C and the
+upstream gradient. ``fuse_pool`` keeps only the cached pooling maps; its
+backward finds the argmax from x. Each rebuild repeats the forward's
+operations on the same operands, so no bit of any gradient changes.
+
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
 tape: outputs are constants, so a forward holds only its live arrays.
@@ -237,12 +253,13 @@ class Tensor:
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x), the sigmoid 1 / (1 + exp(-x)) by numpy's exp
-        (``_sigmoid``), at most 4 ulp from scipy's ``expit``."""
+        (``_sigmoid``), at most 4 ulp from scipy's ``expit``. The node keeps
+        no sigmoid: the backward computes it again from x, bit for bit."""
         x = self.data
-        s = _sigmoid(x)
         def back(g):
+            s = _sigmoid(x)
             _acc(self, g * (s * (1.0 + x * (1.0 - s))))
-        return _node(x * s, (self,), back)
+        return _node(x * _sigmoid(x), (self,), back)
 
     def gelu(self) -> "Tensor":
         """Exact GeLU 0.5*x*(1 + erf(x/sqrt(2))), not the tanh approximation."""
@@ -310,11 +327,17 @@ def _binary(a: Tensor, b, ufunc, grad_a, grad_b) -> Tensor:
     return _node(ufunc(a.data, b.data), (a, b), back)
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:   # a copy: g may be, or share memory with, another gradient
+def _acc(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
+    """Add g into t.grad, or, given a basic index, into t.grad[index]."""
+    if t.grad is None and index is None:   # a copy: g may be, or share memory with, another gradient
         t.grad = np.array(g, dtype=t.data.dtype, order="C")
-    else:
+    elif t.grad is None:
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
+        t.grad[index] = g
+    elif index is None:
         t.grad += g
+    else:
+        t.grad[index] += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -361,15 +384,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis, keeping the axis."""
+    """Contiguous slice [start:stop) along one axis, keeping the axis.
+
+    The backward adds g into that slice of the parent's gradient, through
+    ``_acc``'s index (a zero gradient is made first if the parent has
+    none), instead of building a full-size gradient that is zero outside
+    the slice. The slice's entries get the same bits as before. Entries
+    outside it are left as they are, so a -0.0 there stays -0.0, where
+    adding a zero made it +0.0.
+    """
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-    shape = x.data.shape
     def back(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        gx[sl] = g
-        _acc(x, gx)
+        _acc(x, g, sl)
     return _node(x.data[sl], (x,), back)
 
 
@@ -435,7 +463,8 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     the window axis innermost it was 4x slower at [16, 321, 128], K = 32.
     The backward contracts the same way: the upstream gradient, padded
     behind, against the taps flipped, for x; the upstream gradient against
-    the forward's windows, for the kernel.
+    windows of x, for the kernel. The node keeps no padded copy of x: the
+    backward builds the kernel gradient's windows again from x's data.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects [B, N, C], got {x.data.shape}")
@@ -455,7 +484,8 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             g_windows = _token_windows(g, width, lead=0)
             _acc(x, np.einsum("bnkc,kc->bnc", g_windows, taps[::-1]))
         if weight.requires_grad:
-            _acc(weight, np.einsum("bnc,bnkc->kc", g, windows).T)
+            x_windows = _token_windows(x.data, width, lead=width - 1)
+            _acc(weight, np.einsum("bnc,bnkc->kc", g, x_windows).T)
         if bias.requires_grad:
             _acc(bias, g.sum(axis=(0, 1)))
     return _node(y, (x, weight, bias), back)
@@ -509,14 +539,19 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     Both passes read C-contiguous token-major [N, B, *] copies of delta, B
     and C, and the backward one of the upstream gradient: an outer-product
     einsum over a run took half the time on them that it took on the
-    strided transposed views. The node keeps none of them, only what it
-    kept before (the run-end states and delta * u); the backward copies the
-    parents' arrays again. After freeing its slabs it forms u's gradient in
-    its copy of the upstream gradient and delta's in d_log, in place. Those
-    two are always copies, since at B=1 or N=1 np.ascontiguousarray would
-    return the caller's own array. A's gradient sums over the strided view
-    of delta, as the copy would change the order of summation. No bit of
-    any output or gradient changes.
+    strided transposed views. The node keeps none of them, and no
+    [N, B, C] delta * u: only A^T and the run-end states. The helper forms
+    a run's delta * u in a run-sized buffer, in both passes, and the
+    backward copies the parents' arrays again. Per run, the backward
+    writes the carry decay_t * dh_t into the decay slab, each decay being
+    read for the last time, and dh_b = B_t @ dh_t into a run-sized buffer;
+    once the run's matmuls have read its rows of the upstream gradient's
+    copy, it forms u's gradient there and delta's in d_log, in place. The
+    copies of delta and of the gradient are always copies, since at B=1 or
+    N=1 np.ascontiguousarray would return the caller's own array. A's
+    gradient sums over the strided view of delta, as the copy would change
+    the order of summation. The slabs and the delta copy are freed before
+    the gradients are handed on. No bit of any output or gradient changes.
 
     The readout by matmul sums over S in BLAS order, so outputs differ from
     a multiply-then-sum at rounding level. The forward counts 2*N*B*S*C
@@ -539,32 +574,34 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     u_n = u.data.transpose(1, 0, 2)                          # [N, B, C] view
     delta_n, b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2))
                          for t in (delta, B_ssm, C_ssm))
-    delta_u = delta_n * u_n
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
     ends = np.empty((len(runs), batch, state_dim, channels), dtype)   # run-end states
 
-    def run_states(i, delta_n, b_n, dec_slab, h_slab):
-        """Run i's decays and states, built in the slabs; the states start
-        from the previous run's last state, ends[i - 1], or from zero."""
+    def run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab):
+        """Run i's delta * u, decays and states, built in the slabs; the
+        states start from the previous run's last state, ends[i - 1], or
+        from zero."""
         lo, hi = runs[i]
-        dec, h = dec_slab[:hi - lo], h_slab[:hi - lo]
+        du, dec, h = du_slab[:hi - lo], dec_slab[:hi - lo], h_slab[:hi - lo]
+        np.multiply(delta_n[lo:hi], u_n[lo:hi], out=du)
         np.einsum("nbc,sc->nbsc", delta_n[lo:hi], a_t, out=dec)
         np.exp(dec, out=dec)
-        np.einsum("nbc,nbs->nbsc", delta_u[lo:hi], b_n[lo:hi], out=h)
+        np.einsum("nbc,nbs->nbsc", du, b_n[lo:hi], out=h)
         step = np.empty(slab_shape[1:], dtype)
         prev = ends[i - 1] if i else None
         for t in range(hi - lo):
             if prev is not None:
                 h[t] += np.multiply(dec[t], prev, out=step)
             prev = h[t]
-        return dec, h
+        return du, dec, h
 
+    du_slab = np.empty(slab_shape[:2] + (channels,), dtype)        # [k, B, C]
     dec_slab, h_slab = np.empty(slab_shape, dtype), np.empty(slab_shape, dtype)
     y = np.empty((n_tokens, batch, 1, channels), dtype)
     for i, (lo, hi) in enumerate(runs):
-        _, h = run_states(i, delta_n, b_n, dec_slab, h_slab)
+        _, _, h = run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab)
         np.matmul(c_n[lo:hi, :, None, :], h, out=y[lo:hi])
         ends[i] = h[-1]
     y = y[:, :, 0]
@@ -574,28 +611,30 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2)) for t in (B_ssm, C_ssm))
         # written in place below, so copies even where B or N is 1
         delta_n, g_n = (np.array(a.transpose(1, 0, 2), order="C") for a in (delta.data, g))
-        # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
-        dh_b = np.empty((n_tokens, batch, 1, channels), dtype)
-        d_log = np.empty_like(delta_u)
+        d_log = np.empty((n_tokens, batch, channels), dtype)
         d_a = np.zeros_like(a_t, dtype=dtype)
         d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
         d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
-        dec_slab, h_slab, dh_slab, carry_slab = (np.empty(slab_shape, dtype) for _ in range(4))
+        du_slab = np.empty(slab_shape[:2] + (channels,), dtype)
+        dh_b_slab = np.empty(slab_shape[:2] + (1, channels), dtype)
+        dec_slab, h_slab, dh_slab = (np.empty(slab_shape, dtype) for _ in range(3))
         carry = np.zeros(slab_shape[1:], dtype)                    # decay_{t+1} * dh_{t+1}
         for i in range(len(runs) - 1, -1, -1):
             lo, hi = runs[i]
             k = hi - lo
-            dec, h = run_states(i, delta_n, b_n, dec_slab, h_slab)
+            du, dec, h = run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab)
             dh = np.einsum("nbs,nbc->nbsc", c_n[lo:hi], g_n[lo:hi], out=dh_slab[:k])
+            # the carry goes into the decay slab, each decay read for the last time
             for t in range(k - 1, -1, -1):
                 dh[t] += carry
-                carry = np.multiply(dec[t], dh[t], out=carry_slab[t])
-            carry = carry.copy()   # it is carry_slab[0], overwritten below
-            np.matmul(b_n[lo:hi, :, None, :], dh, out=dh_b[lo:hi])
-            np.matmul(dh, delta_u[lo:hi, :, :, None], out=d_b[lo:hi])
+                carry = np.multiply(dec[t], dh[t], out=dec[t])
+            carry = carry.copy()   # it is dec[0], overwritten below
+            # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
+            dh_b = np.matmul(b_n[lo:hi, :, None, :], dh, out=dh_b_slab[:k])[:, :, 0]
+            np.matmul(dh, du[:, :, :, None], out=d_b[lo:hi])
             np.matmul(h, g_n[lo:hi, :, :, None], out=d_c[lo:hi])
             # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
-            log_grad = carry_slab[:k]
+            log_grad = dec
             log_grad[1:] *= h[:k - 1]
             if i:
                 log_grad[0] *= ends[i - 1]
@@ -604,14 +643,16 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
             np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
             # on the strided view: the copy would change the reduction's order
             d_a += np.einsum("nbsc,nbc->sc", log_grad, delta.data.transpose(1, 0, 2)[lo:hi])
-        # drop the slabs, and the loop's views of them, before the [N, B, C]
-        # gradients are formed in place: u's in the copy of g, delta's in d_log
-        del b_n, c_n, dec_slab, h_slab, dh_slab, carry_slab
-        dec = h = dh = log_grad = None
-        dh_b = dh_b[:, :, 0]
-        g_n *= D_skip.data
-        g_n += np.multiply(delta_n, dh_b, out=delta_n)
-        d_log += np.multiply(u_n, dh_b, out=dh_b)
+            # u's gradient in the run's rows of the g copy, once read, and
+            # delta's in d_log; the products go into delta's copy and dh_b
+            g_run = g_n[lo:hi]
+            g_run *= D_skip.data
+            g_run += np.multiply(delta_n[lo:hi], dh_b, out=delta_n[lo:hi])
+            d_log[lo:hi] += np.multiply(u_n[lo:hi], dh_b, out=dh_b)
+        # free the slabs, delta's copy and the loop's views of them before
+        # the gradients are copied out
+        del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab, dh_slab
+        du = dec = h = dh = dh_b = log_grad = None
         if delta.requires_grad:
             _acc(delta, d_log.transpose(1, 0, 2))
         if A.requires_grad:

@@ -1,9 +1,11 @@
 """Shared test oracles: central finite differences, gradient checks,
-``concatenate``, a tape op that no model path runs, and
-``conv1d_per_tap``, the causal convolution written one tap at a time."""
+``concatenate``, a tape op that no model path runs, ``conv1d_per_tap``,
+the causal convolution written one tap at a time, and ``kept_bytes``, what
+a forward leaves allocated."""
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +52,19 @@ def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             _acc(bias, g.sum(axis=(0, 1)))
     return _node(y, (x, weight, bias), back)
+
+
+def kept_bytes(fn) -> int:
+    """Bytes that fn() allocates and still holds when it returns, its result
+    alive: the tracemalloc growth across the call. For a taped forward that
+    is its output plus what the node keeps for the backward."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -258,6 +258,17 @@ class TestScaler:
         centered = values - values.sum(axis=0) / 64
         np.testing.assert_allclose(scaler.std, np.sqrt((centered**2).sum(axis=0) / 64), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transform_bit_identical_to_subtract_then_divide(self, dtype):
+        values = (RNG.standard_normal((50, 4)) * 3.0 + 2.0).astype(dtype)
+        values[:, 3] = 7.0   # a clamped, zero-variance variate
+        scaler = Scaler.fit(values[:30])
+        for part in (values, values[10:]):
+            got = scaler.transform(part)
+            want = (part - scaler.mean) / scaler.std
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_statistics_use_train_range_only(self):
         values = RNG.standard_normal((100, 2))
         series = RawSeries(values=values.copy(), names=["a", "b"])

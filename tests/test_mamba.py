@@ -6,7 +6,7 @@ import pytest
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
-from helpers import concatenate, numerical_grad, rel_error
+from helpers import concatenate, kept_bytes, numerical_grad, rel_error
 
 RNG = np.random.default_rng(31)
 
@@ -232,6 +232,22 @@ class TestFusedScanOracle:
             tracemalloc.stop()
         assert out.requires_grad
         assert kept < every_state / 2, f"{kept} bytes kept, all states are {every_state}"
+
+    def test_node_keeps_no_token_sized_delta_u(self, monkeypatch):
+        # 16 runs of 16 tokens: the run-end states and a slab are each a
+        # quarter of an [N, B, C] array such as delta * u
+        batch, channels, n_tokens, state, span = 2, 32, 256, 4, 16
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", span * batch * channels * state)
+        leaves = [Tensor(a, requires_grad=True) for a in random_scan_inputs(
+            np.random.default_rng(16), batch=batch, channels=channels, n=n_tokens, state=state)]
+        token_sized = n_tokens * batch * channels * 8
+        ends = n_tokens // span * batch * state * channels * 8
+        slab = span * batch * state * channels * 8
+        assert selective_scan(*leaves).requires_grad
+        kept = kept_bytes(lambda: selective_scan(*leaves))
+        # the output, the run-end states and at most one slab more
+        limit = token_sized + ends + slab
+        assert kept < limit, f"{kept} bytes kept, limit {limit}"
 
     @pytest.mark.parametrize("wanted", [(0, 3), (1, 2, 5), (4,)])
     def test_gradcheck_with_some_inputs_constant(self, wanted, monkeypatch):

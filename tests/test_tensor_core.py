@@ -24,7 +24,7 @@ from attention_mamba.tensor_core import (
     _row_windows,
     _sigmoid,
 )
-from helpers import concatenate, conv1d_per_tap, gradcheck, rel_error
+from helpers import concatenate, conv1d_per_tap, gradcheck, kept_bytes, rel_error
 
 RNG = np.random.default_rng(7)
 
@@ -316,6 +316,68 @@ class TestCausalConv:
         with pytest.raises(ShapeError, match="channel mismatch"):
             conv1d_depthwise_causal(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 2))),
                                     Tensor(np.ones(3)))
+
+
+class TestWhatANodeKeeps:
+    def test_silu_keeps_no_sigmoid(self):
+        x = Tensor(rand(64, 1024), requires_grad=True)
+        assert x.silu().requires_grad
+        kept = kept_bytes(x.silu)
+        # the output, and no second x-sized array for the sigmoid
+        assert kept < 1.5 * x.data.nbytes, f"{kept} bytes kept for a {x.data.nbytes}-byte input"
+
+    def test_conv_keeps_no_padded_copy(self):
+        x, weight, bias = (Tensor(a, requires_grad=True)
+                           for a in (rand(2, 64, 256), rand(256, 4), rand(256)))
+        assert conv1d_depthwise_causal(x, weight, bias).requires_grad
+        kept = kept_bytes(lambda: conv1d_depthwise_causal(x, weight, bias))
+        # the output and the [K, C] taps; the padded x would be [2, 67, 256]
+        limit = x.data.nbytes + weight.data.nbytes + x.data.nbytes // 2
+        assert kept < limit, f"{kept} bytes kept, limit {limit}"
+
+
+def scattered(shape, index, g):
+    """The gradient of a slice as a full-size array, zero outside `index`."""
+    out = np.zeros(shape)
+    out[index] = g
+    return out
+
+
+class TestSliceAxis:
+    def test_two_slices_of_one_parent_add_as_scattered_gradients(self):
+        # overlapping slices [0, 4) and [2, 7) of axis 1
+        x = Tensor(rand(3, 7, 5), requires_grad=True)
+        w1, w2 = rand(3, 4, 5), rand(3, 5, 5)
+        backward((slice_axis(x, 1, 0, 4) * Tensor(w1)).sum()
+                 + (slice_axis(x, 1, 2, 7) * Tensor(w2)).sum())
+        expected = (scattered(x.data.shape, np.s_[:, 0:4], w1)
+                    + scattered(x.data.shape, np.s_[:, 2:7], w2))
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_slice_adds_into_a_held_gradient(self):
+        x = Tensor(rand(3, 7, 5), requires_grad=True)
+        held = rand(3, 7, 5)
+        held[:, 0, :2] = -0.0             # outside the slice [2, 6)
+        held[:, 3, :2] = -0.0             # inside it
+        x.grad = held.copy()
+        w = rand(3, 4, 5)
+        backward((slice_axis(x, 1, 2, 6) * Tensor(w)).sum())
+        expected = held + scattered(x.data.shape, np.s_[:, 2:6], w)
+        # bit for bit as scatter-into-zeros plus add, but for the sign of a
+        # zero outside the slice: there the held -0.0 stays -0.0, where
+        # adding the scattered +0.0 gave +0.0
+        outside_neg_zero = np.zeros(x.data.shape, bool)
+        outside_neg_zero[:, 0, :2] = True
+        assert np.signbit(x.grad[outside_neg_zero]).all()
+        assert not np.signbit(expected[outside_neg_zero]).any()
+        expected[outside_neg_zero] = -0.0
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_gradient_keeps_parent_dtype(self):
+        x = Tensor(rand(2, 6).astype(np.float32), requires_grad=True)
+        backward(slice_axis(x, 1, 1, 3).sum())
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, scattered((2, 6), np.s_[:, 1:3], 1.0))
 
 
 class TestInvariants:
