@@ -239,7 +239,6 @@ class SplitDataset:
     """Chronological train/val/test ranges over one (optionally scaled) series."""
 
     values: np.ndarray
-    names: list[str]
     lookback: int
     horizon: int
     train_range: tuple[int, int]
@@ -269,7 +268,6 @@ def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset
     n_val = int(total * SPLIT_RATIOS[1])
     return SplitDataset(
         values=series.values.copy(),
-        names=list(series.names),
         lookback=lookback,
         horizon=horizon,
         train_range=(0, n_train),

@@ -3,24 +3,25 @@
 The bidirectional value is mamba(x) + reverse(mamba(reverse(x))): the
 reversed scan's output is flipped back, so every output token sees every
 input token. Tokens are variates; a form that left some unseen would let a
-variate's column position decide what it can mix in. The retired form,
-"fused-reverse" (earlier tests called it the literal one), flipped the sum
-of both branches, so token i saw only tokens [0, N-1-i] and [i, N-1]. PAPER.md
-holds only the abstract, so the paper's own equation cannot be checked here.
+variate's column position decide what it can mix in. PAPER.md holds only
+the abstract, so the paper's own equation cannot be checked here.
 
 One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
-the step size, input matrix and readout matrix of the recurrence, the
-selective scan itself, SiLU gating, and an output projection. Activations
+the raw step size dt, input matrix and readout matrix of the recurrence,
+the selective scan itself, SiLU gating, and an output projection. Activations
 stay token-major from input to output: [B, N, C], with C = EXPANSION * E
 channels, as the rest of the model lays out its tokens.
 
 The scan discretizes the continuous system with zero-order hold on the
-state matrix and an Euler step on the input: per channel c and token t,
-    h_t = exp(dt_t * a_c) * h_{t-1} + (dt_t * b_t) * u_t
+state matrix and an Euler step on the input, with step size
+delta = softplus(dt) and state matrix A = -exp(A_log): per channel c and
+token t,
+    h_t = exp(delta_t * a_c) * h_{t-1} + (delta_t * b_t) * u_t
     y_t = c_t . h_t + d_c * u_t,       h_0 = 0.
-The scan is one tape node, `tensor_core.selective_scan`; its docstring
-gives how it runs and where its rounding differs from a per-step loop.
+The scan is one tape node, `tensor_core.selective_scan`. It takes the raw
+dt and A_log and forms delta and A itself; its docstring gives how it runs
+and where its rounding differs from a per-step loop.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class MambaParams:
     conv_bias: Tensor       # [C]
     x_proj: LinearLayer     # C -> dt_rank + 2*S
     dt_proj: LinearLayer    # dt_rank -> C
-    A_log: Tensor           # [C, S]; the state matrix is -exp(A_log) < 0
+    A_log: Tensor           # [C, S]; the scan's state matrix is -exp(A_log) < 0
     D_skip: Tensor          # [C], direct input-to-output path
     out_proj: LinearLayer   # C -> E
 
@@ -133,10 +134,9 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     b_ssm = slice_axis(feats, 2, dt_rank, dt_rank + STATE_DIM)
     c_ssm = slice_axis(feats, 2, dt_rank + STATE_DIM, dt_rank + 2 * STATE_DIM)
 
-    delta = linear(dt_pre, p.dt_proj).softplus()       # [B, N, C]
-    a_mat = -(p.A_log.exp())
+    dt = linear(dt_pre, p.dt_proj)                       # [B, N, C]
 
-    scanned = selective_scan(u, delta, a_mat, b_ssm, c_ssm, p.D_skip)
+    scanned = selective_scan(u, dt, p.A_log, b_ssm, c_ssm, p.D_skip)
     gated = scanned * gate.silu()
     return linear(gated, p.out_proj)
 
@@ -147,10 +147,7 @@ def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams) -> Te
     Vim (arXiv 2401.09417) and S-Mamba (arXiv 2403.11144).
 
     Output token i gets the forward scan over tokens [0, i] and the reversed
-    scan over [i, N-1], so it sees every input token. The retired
-    "fused-reverse" form, reverse(mamba(x) + mamba(reverse(x))), also flipped
-    the forward branch: token i saw only [0, N-1-i] and [i, N-1], and the
-    last token saw two of the N tokens.
+    scan over [i, N-1], so it sees every input token.
     """
     normal = mamba_forward(x, p_fwd)
     reversed_branch = mamba_forward(reverse(x, 1), p_bwd)

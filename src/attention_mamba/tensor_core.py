@@ -21,41 +21,36 @@ documented contract, but the general rule is implemented because RevIN's
 [B, 1, N] statistics broadcast over the time axis.
 
 Two ops are single fused nodes with hand-written backwards rather than
-chains of small nodes. The selective scan (``selective_scan``) builds its
-states channels-last, [B, S, C] a token, in cache-sized runs of tokens and
-reads each run out by matmul. Its node keeps only each run's last state,
-[runs, B, S, C], never the [N, B, S, C] states of every token: the backward
-rebuilds a run's decays and states from the previous run's last state, then
-runs the reverse recurrence. Its einsums and matmuls read C-contiguous
-token-major [N, B, *] copies of delta, B and C (and, in the backward, of the
-upstream gradient): on the strided transposed views they took twice as
-long. The node keeps none of these copies; the backward makes its own from
-the parents' arrays. The adaptive
-average-plus-max pooling of query and key from [B, N, E] to [B, E/4, E/4]
-(``fuse_pool``) averages by one matmul with a cached [E/4, N] map, and
-folds maxima over gathered row slabs, then strided column views; the argmax
-that routes its max gradient runs in the backward alone. The causal
-depthwise convolution is one contraction over a window view, forward and
-backward.
+chains of small nodes. The selective scan (``selective_scan``) takes Mamba's
+raw dt and A_log and forms the step size softplus(dt) and the state matrix
+-exp(A_log) itself. It builds its states channels-last, [B, S, C] a token,
+in cache-sized runs of tokens, reads each run out by matmul, and keeps only
+each run's last state, [runs, B, S, C]: the backward rebuilds a run's
+decays and states from the previous run's last state, then runs the
+reverse recurrence. The adaptive average-plus-max pooling of query and key
+from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) averages by one matmul with
+a cached [E/4, N] map, and folds maxima over gathered row slabs, then
+strided column views; the argmax that routes its max gradient runs in the
+backward alone. The causal depthwise convolution is one contraction over a
+window view, forward and backward.
 
 ``softmax_last``'s backward flushes subnormal input gradients to zero.
-SiLU and softplus's backward take the sigmoid from numpy's vectorised exp,
-not from scipy's scalar-loop ``expit``.
+SiLU and the scan's dt gradient take the sigmoid from numpy's vectorised
+exp, not from scipy's scalar-loop ``expit``.
 
 What a node keeps is its parents plus what its backward closure names; an
 array the backward can rebuild cheaply from its parents' data is rebuilt
 rather than kept. The arithmetic ops, matmul, ``slice_axis``, ``reverse``,
 the transposes and the reductions keep nothing of their own (``slice_axis``
 only its index); ``affine`` keeps x as a 2-D matrix, a view unless x is
-strided. ``exp``, ``sqrt`` and ``softmax_last`` keep their outputs, and
-``gelu`` its normal cdf, the size of x. ``silu`` keeps no sigmoid: its
-backward recomputes it from x, as ``softplus``'s does. The causal
-convolution keeps its [K, C] taps; its backward rebuilds the padded window
-view of x for the kernel gradient. The selective scan keeps A^T and its
-[runs, B, S, C] run-end states; its backward rebuilds each run's delta * u,
-decays and states, and its token-major copies of delta, B, C and the
-upstream gradient. ``fuse_pool`` keeps only the cached pooling maps; its
-backward finds the argmax from x. Each rebuild repeats the forward's
+strided. ``sqrt`` and ``softmax_last`` keep their outputs, and ``gelu``
+its normal cdf, the size of x. ``silu`` keeps no sigmoid: its backward
+recomputes it from x. The causal convolution keeps its [K, C] taps; its
+backward rebuilds the padded window view of x for the kernel gradient. The
+selective scan keeps delta, A^T and its [runs, B, S, C] run-end states; its
+backward rebuilds each run's delta * u, decays and states, and its
+token-major copies of delta, B, C and the upstream gradient. ``fuse_pool``
+keeps only the cached pooling maps; its backward finds the argmax from x. Each rebuild repeats the forward's
 operations on the same operands, so no bit of any gradient changes.
 
 ``backward`` frees each interior node's gradient once the node has passed
@@ -106,7 +101,7 @@ class ShapeError(ValueError):
 
 
 class NonPositiveStepError(ValueError):
-    """A selective scan got a step size delta <= 0, e.g. from softplus underflow."""
+    """A selective scan's step size softplus(dt) underflowed to 0."""
 
 
 # --------------------------------------------------------------------------
@@ -239,12 +234,6 @@ class Tensor:
 
     # -- pointwise nonlinearities --------------------------------------------
 
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        def back(g):
-            _acc(self, g * y)
-        return _node(y, (self,), back)
-
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
         def back(g):
@@ -270,16 +259,6 @@ class Tensor:
             _acc(self, g * (cdf + x * pdf))
         return _node(x * cdf, (self,), back)
 
-    def softplus(self) -> "Tensor":
-        """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), the form
-        np.logaddexp(0, x) takes per element, in whole-array passes. Its
-        derivative, the sigmoid 1 / (1 + exp(-x)), is ``_sigmoid``'s, at
-        most 4 ulp from scipy's ``expit``."""
-        x = self.data
-        def back(g):
-            _acc(self, g * _sigmoid(x))
-        return _node(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))), (self,), back)
-
 
 # --------------------------------------------------------------------------
 # internals
@@ -287,12 +266,11 @@ class Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) in x's dtype, in whole-array passes over one buffer.
 
-    This is the formula of scipy's ``expit``, which runs it as a scalar
-    loop: at [16, 321, 128] float32 that took 4.4 ms against 1.0 ms for
-    numpy's vectorised exp. The two exps differ, so the results lie up to
-    4 ulp apart. exp(-x) overflows to inf for x below about -89 in float32
-    (-710 in float64), which gives the exact limit 0, so the overflow is
-    not an error; NaN stays NaN.
+    This is the formula of scipy's ``expit``, with numpy's vectorised exp
+    in place of expit's scalar loop. The two exps differ, so the results
+    lie up to 4 ulp apart. exp(-x) overflows to inf for x below about -89
+    in float32 (-710 in float64), which gives the exact limit 0, so the
+    overflow is not an error; NaN stays NaN.
     """
     s = np.negative(x)
     with np.errstate(over="ignore"):
@@ -458,10 +436,9 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     depends only on inputs <= t.
 
     The forward is one contraction of a [B, N, K, C] window view of the
-    padded input with the taps as a contiguous [K, C] matrix. With C
-    innermost in both, einsum's inner loop runs along channel rows; with
-    the window axis innermost it was 4x slower at [16, 321, 128], K = 32.
-    The backward contracts the same way: the upstream gradient, padded
+    padded input with the taps as a contiguous [K, C] matrix, C innermost
+    in both, so einsum's inner loop runs along channel rows. The backward
+    contracts the same way: the upstream gradient, padded
     behind, against the taps flipped, for x; the upstream gradient against
     windows of x, for the kernel. The node keeps no padded copy of x: the
     backward builds the kernel gradient's windows again from x's data.
@@ -497,9 +474,7 @@ def _token_windows(a: np.ndarray, width: int, lead: int) -> np.ndarray:
     tokens n..n+K-1.
 
     Only the padding is zeroed (np.zeros would zero every page, then write
-    most of it again), and the view is one as_strided call. On a 2-core x86
-    machine, at [1, 21, 128] and K = 21, that took about a sixth of the time
-    of np.pad plus sliding_window_view.
+    most of it again), and the view is one as_strided call.
     """
     batch, n_tokens, channels = a.shape
     padded = np.empty((batch, n_tokens + width - 1, channels), a.dtype)
@@ -511,69 +486,66 @@ def _token_windows(a: np.ndarray, width: int, lead: int) -> np.ndarray:
                       writeable=False)
 
 
-def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
+def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
                    C_ssm: Tensor, D_skip: Tensor) -> Tensor:
-    """Selective state-space recurrence over the token axis, as one tape node.
+    """Mamba's discretized selective state-space recurrence over the token
+    axis, as one tape node.
 
-    u, delta: [B, N, C]; A: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
-    Per token t, with h_{-1} = 0 and states h_t of shape [B, S, C]:
+    u, dt: [B, N, C]; A_log: [C, S]; B_ssm, C_ssm: [B, N, S]; D_skip: [C].
+    The node forms the step size delta = softplus(dt), computed as
+    max(dt, 0) + log1p(exp(-|dt|)), and the state matrix A = -exp(A_log),
+    which is negative by construction. Per token t, with h_{-1} = 0 and
+    states h_t of shape [B, S, C]:
         h_t = exp(delta_t * A^T) * h_{t-1} + (delta_t * u_t) * B_t^T
         y_t = C_t @ h_t + D * u_t
-    delta must be strictly positive (and A negative) for a stable step.
+    Raises ShapeError on mismatched shapes, and NonPositiveStepError where
+    softplus(dt) underflows to 0: dt at or below about -104 in float32, or
+    -745 in float64.
 
-    Inside, the states are channels-last, [B, S, C] a token, so every
-    broadcast runs along contiguous rows of C channels. The work goes in runs
-    of tokens small enough to stay in cache. One helper builds a run's decays
-    exp(delta_t * A^T) and states into [k, B, S, C] slabs: the outer products
-    in bulk, then the recurrence from the previous run's last state. The
-    forward reads each run out with one stacked matmul [k, B, 1, S] @
-    [k, B, S, C] and copies the run's last state into a [runs, B, S, C] array;
-    that array, not the [N, B, S, C] states, is what the node keeps. The
-    backward walks the runs in reverse: it rebuilds each run's decays and
+    The states are channels-last, [B, S, C] a token, and are built in runs
+    of tokens small enough to stay in cache. For each run, one helper
+    builds the decays exp(delta_t * A^T) and the drives into [k, B, S, C]
+    slabs, then runs the recurrence from the previous run's last state. The
+    forward reads each run out with one stacked matmul
+    [k, B, 1, S] @ [k, B, S, C]. The node keeps delta, A^T and each run's
+    last state, [runs, B, S, C], never the states of every token. The
+    backward walks the runs in reverse. It rebuilds each run's decays and
     states from the kept run-end state, runs the reverse recurrence
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
-    and reads the gradients of all six inputs off dh and h in closed form,
-    by matmuls and einsums over S. It forms all six on every run, since the
-    model trains every input; an input without requires_grad gets no .grad.
+    and reads the gradients off dh and h in closed form. dt gets
+    d_delta * sigmoid(dt), the sigmoid by ``_sigmoid``, and A_log gets
+    d_A * A: the products that softplus, exp and negation as separate nodes
+    would form. An input without requires_grad gets no .grad.
 
     Both passes read C-contiguous token-major [N, B, *] copies of delta, B
-    and C, and the backward one of the upstream gradient: an outer-product
-    einsum over a run took half the time on them that it took on the
-    strided transposed views. The node keeps none of them, and no
-    [N, B, C] delta * u: only A^T and the run-end states. The helper forms
-    a run's delta * u in a run-sized buffer, in both passes, and the
-    backward copies the parents' arrays again. Per run, the backward
-    writes the carry decay_t * dh_t into the decay slab, each decay being
-    read for the last time, and dh_b = B_t @ dh_t into a run-sized buffer;
-    once the run's matmuls have read its rows of the upstream gradient's
-    copy, it forms u's gradient there and delta's in d_log, in place. The
-    copies of delta and of the gradient are always copies, since at B=1 or
-    N=1 np.ascontiguousarray would return the caller's own array. A's
-    gradient sums over the strided view of delta, as the copy would change
-    the order of summation. The slabs and the delta copy are freed before
-    the gradients are handed on. No bit of any output or gradient changes.
+    and C, and the backward one of the upstream gradient. The node keeps
+    none of them. The backward writes in place only into its own copies and
+    buffers, never into an input's array or into what the node keeps. A's
+    gradient sums over the strided view of delta, whose order of summation
+    the bits depend on.
 
     The readout by matmul sums over S in BLAS order, so outputs differ from
     a multiply-then-sum at rounding level. The forward counts 2*N*B*S*C
     multiply-accumulates: the state update and the readout.
     """
     batch, n_tokens, channels = u.data.shape
-    state_dim = A.data.shape[1]
-    if delta.data.shape != u.data.shape:
-        raise ShapeError(f"delta shape {delta.data.shape} must match u {u.data.shape}")
+    state_dim = A_log.data.shape[1]
+    if dt.data.shape != u.data.shape:
+        raise ShapeError(f"dt shape {dt.data.shape} must match u {u.data.shape}")
     if B_ssm.data.shape != (batch, n_tokens, state_dim) or C_ssm.data.shape != (batch, n_tokens, state_dim):
         raise ShapeError(
             f"B/C shapes {B_ssm.data.shape}/{C_ssm.data.shape} must be {(batch, n_tokens, state_dim)}"
         )
-    if np.any(delta.data <= 0):
-        raise NonPositiveStepError("selective_scan requires strictly positive delta")
+    delta = np.maximum(dt.data, 0) + np.log1p(np.exp(-np.abs(dt.data)))
+    if np.any(delta <= 0):
+        raise NonPositiveStepError("selective_scan: softplus(dt) underflowed to 0")
 
-    inputs = (u, delta, A, B_ssm, C_ssm, D_skip)
+    inputs = (u, dt, A_log, B_ssm, C_ssm, D_skip)
     dtype = np.result_type(*(t.data for t in inputs))
-    a_t = np.ascontiguousarray(A.data.T)                     # [S, C]
+    a_t = -np.exp(np.ascontiguousarray(A_log.data.T))        # [S, C]
     u_n = u.data.transpose(1, 0, 2)                          # [N, B, C] view
-    delta_n, b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2))
-                         for t in (delta, B_ssm, C_ssm))
+    delta_n, b_n, c_n = (np.ascontiguousarray(a.transpose(1, 0, 2))
+                         for a in (delta, B_ssm.data, C_ssm.data))
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
@@ -610,7 +582,7 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
     def back(g):
         b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2)) for t in (B_ssm, C_ssm))
         # written in place below, so copies even where B or N is 1
-        delta_n, g_n = (np.array(a.transpose(1, 0, 2), order="C") for a in (delta.data, g))
+        delta_n, g_n = (np.array(a.transpose(1, 0, 2), order="C") for a in (delta, g))
         d_log = np.empty((n_tokens, batch, channels), dtype)
         d_a = np.zeros_like(a_t, dtype=dtype)
         d_b = np.empty((n_tokens, batch, state_dim, 1), dtype)
@@ -642,7 +614,7 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
                 log_grad[0] = 0
             np.einsum("nbsc,sc->nbc", log_grad, a_t, out=d_log[lo:hi])
             # on the strided view: the copy would change the reduction's order
-            d_a += np.einsum("nbsc,nbc->sc", log_grad, delta.data.transpose(1, 0, 2)[lo:hi])
+            d_a += np.einsum("nbsc,nbc->sc", log_grad, delta.transpose(1, 0, 2)[lo:hi])
             # u's gradient in the run's rows of the g copy, once read, and
             # delta's in d_log; the products go into delta's copy and dh_b
             g_run = g_n[lo:hi]
@@ -653,10 +625,11 @@ def selective_scan(u: Tensor, delta: Tensor, A: Tensor, B_ssm: Tensor,
         # the gradients are copied out
         del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab, dh_slab
         du = dec = h = dh = dh_b = log_grad = None
-        if delta.requires_grad:
-            _acc(delta, d_log.transpose(1, 0, 2))
-        if A.requires_grad:
-            _acc(A, d_a.T)
+        if dt.requires_grad:   # softplus' derivative is the sigmoid
+            np.multiply(d_log, _sigmoid(dt.data).transpose(1, 0, 2), out=d_log)
+            _acc(dt, d_log.transpose(1, 0, 2))
+        if A_log.requires_grad:   # d exp(A_log) / d A_log = exp(A_log) = -A
+            _acc(A_log, (d_a * a_t).T)
         if u.requires_grad:
             _acc(u, g_n.transpose(1, 0, 2))
         if B_ssm.requires_grad:

@@ -1,6 +1,7 @@
-"""Shared test oracles: central finite differences, gradient checks,
-``concatenate``, a tape op that no model path runs, ``conv1d_per_tap``,
-the causal convolution written one tap at a time, and ``kept_bytes``, what
+"""Shared test oracles: central finite differences, gradient checks; the
+tape ops that no model path runs: ``concatenate``, ``exp`` and
+``softplus``, which the per-token scan oracle needs; ``conv1d_per_tap``,
+the causal convolution written one tap at a time; and ``kept_bytes``, what
 a forward leaves allocated."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from attention_mamba.tensor_core import Tensor, _acc, _node, gradients
+from attention_mamba.tensor_core import Tensor, _acc, _node, _sigmoid, gradients
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -25,6 +26,23 @@ def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 _acc(t, g[tuple(sl)])
             start += size
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+
+
+def exp(x: Tensor) -> Tensor:
+    """Elementwise exp; the node keeps its output, which is its derivative."""
+    y = np.exp(x.data)
+    def back(g):
+        _acc(x, g * y)
+    return _node(y, (x,), back)
+
+
+def softplus(x: Tensor) -> Tensor:
+    """log(1 + exp(x)) in the operations, and the order, that
+    ``selective_scan`` forms its step size in; the gradient is
+    ``_sigmoid``'s."""
+    def back(g):
+        _acc(x, g * _sigmoid(x.data))
+    return _node(np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data))), (x,), back)
 
 
 def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -6,7 +6,7 @@ import pytest
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
-from helpers import concatenate, kept_bytes, numerical_grad, rel_error
+from helpers import concatenate, exp, kept_bytes, numerical_grad, rel_error, softplus
 
 RNG = np.random.default_rng(31)
 
@@ -27,6 +27,12 @@ def naive_scan(u, delta, A, B, C, D):
     return y.swapaxes(1, 2)
 
 
+def discretize(dt, a_log):
+    """The step size softplus(dt) and the state matrix -exp(A_log), in numpy,
+    for the float64 oracles that compare within a tolerance."""
+    return np.logaddexp(0.0, dt), -np.exp(a_log)
+
+
 def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
     """The scan built from per-token tape ops, about a dozen nodes per token.
     Its state is channels-last, [B, S, C], as the fused node's is."""
@@ -40,11 +46,18 @@ def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
         u_t = slice_axis(u, 1, t, t + 1)           # [B, 1, C]
         b_t = slice_axis(B_ssm, 1, t, t + 1).transpose_last2()   # [B, S, 1]
         c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
-        decay = (delta_t * a_t).exp()              # [B, S, C]
+        decay = exp(delta_t * a_t)                 # [B, S, C]
         drive = (delta_t * u_t) * b_t              # [B, S, C]
         h = decay * h + drive
         outputs.append(matmul(c_t, h) + D_skip * u_t)
     return concatenate(outputs, axis=1)
+
+
+def tape_scan_oracle(u, dt, A_log, B_ssm, C_ssm, D_skip):
+    """The per-token tape scan on the delta and A that the fused scan forms
+    from dt and A_log, by tape ops of the same operations, so the forward
+    matches bit for bit and gradients reach dt and A_log."""
+    return tape_scan_reference(u, softplus(dt), -exp(A_log), B_ssm, C_ssm, D_skip)
 
 
 def tape_nodes(out):
@@ -64,8 +77,11 @@ RUN_SIZES = (1, 37, tensor_core._SCAN_RUN_ELEMENTS)
 
 
 def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
-    """Scan inputs, u and delta token-major [B, N, C]; the draws are those of
-    the channel-major [B, C, N] layout, so the values do not depend on it."""
+    """Scan inputs u, dt, A_log, B, C, D, with u and dt token-major [B, N, C].
+    The draws are those of the channel-major [B, C, N] layout, so the values
+    do not depend on it. dt and A_log are drawn through the step size
+    softplus(dt) in [0.05, 1.5] and the state matrix -exp(A_log) in
+    [-3, -0.1]."""
     u = rng.standard_normal((batch, channels, n))
     delta = rng.uniform(0.05, 1.5, (batch, channels, n))
     a_mat = -rng.uniform(0.1, 3.0, (channels, state))
@@ -73,32 +89,34 @@ def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
     c = rng.standard_normal((batch, n, state))
     d = rng.standard_normal(channels)
     u, delta = (np.ascontiguousarray(a.swapaxes(1, 2)) for a in (u, delta))
-    return u, delta, a_mat, b, c, d
+    return u, np.log(np.expm1(delta)), np.log(-a_mat), b, c, d
 
 
 def with_signed_zeros(rng, arrays):
     """A copy of scan inputs with +0.0 and -0.0 in about a third of the token
-    rows of u and of the entries of B, C and D; delta and A stay nonzero."""
-    u, delta, a_mat, b, c, d = (a.copy() for a in arrays)
+    rows of u and of the entries of B, C and D; dt and A_log stay as drawn."""
+    u, dt, a_log, b, c, d = (a.copy() for a in arrays)
     for x, lead in ((u, 2), (b, 3), (c, 3), (d, 1)):
         mask = rng.random(x.shape[:lead]) < 0.35
         signs = np.where(rng.random(int(mask.sum())) < 0.5, -0.0, 0.0)
         x[mask] = signs.reshape((-1,) + (1,) * (x.ndim - lead))
-    return u, delta, a_mat, b, c, d
+    return u, dt, a_log, b, c, d
 
 
 class TestSelectiveScan:
     def test_length_one_no_recurrence(self):
-        u, delta, a_mat, b, c, d = random_scan_inputs(RNG, n=1)
-        out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
+        u, dt, a_log, b, c, d = random_scan_inputs(RNG, n=1)
+        out = selective_scan(Tensor(u), Tensor(dt), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+        delta, _ = discretize(dt, a_log)
         expected = ((delta[:, 0, :] * u[:, 0, :])[:, :, None] * b[:, None, 0, :] * c[:, None, 0, :]).sum(-1) \
             + d[None, :] * u[:, 0, :]
         np.testing.assert_allclose(out.data[:, 0, :], expected, rtol=1e-12)
 
     def test_large_negative_state_matrix_is_memoryless(self):
-        u, delta, _, b, c, d = random_scan_inputs(RNG)
-        a_mat = np.full((3, 4), -np.exp(20.0))
-        out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
+        u, dt, _, b, c, d = random_scan_inputs(RNG)
+        a_log = np.full((3, 4), 20.0)
+        out = selective_scan(Tensor(u), Tensor(dt), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+        delta, _ = discretize(dt, a_log)
         memoryless = np.zeros_like(u)
         for t in range(u.shape[1]):
             dBu = (delta[:, t, :] * u[:, t, :])[:, :, None] * b[:, None, t, :]
@@ -106,9 +124,9 @@ class TestSelectiveScan:
         np.testing.assert_allclose(out.data, memoryless, atol=1e-12)
 
     def test_matches_naive_recurrence_oracle(self):
-        u, delta, a_mat, b, c, d = random_scan_inputs(RNG)
-        out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
-        np.testing.assert_allclose(out.data, naive_scan(u, delta, a_mat, b, c, d), atol=1e-10)
+        u, dt, a_log, b, c, d = random_scan_inputs(RNG)
+        out = selective_scan(Tensor(u), Tensor(dt), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+        np.testing.assert_allclose(out.data, naive_scan(u, *discretize(dt, a_log), b, c, d), atol=1e-10)
 
     def test_oracle_sweep_random_dims(self):
         for seed in range(10):
@@ -119,27 +137,37 @@ class TestSelectiveScan:
                 n=int(rng.integers(1, 17)),
                 state=int(rng.integers(1, 9)),
             )
-            u, delta, a_mat, b, c, d = random_scan_inputs(rng, **dims)
-            out = selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
-            assert np.abs(out.data - naive_scan(u, delta, a_mat, b, c, d)).max() < 1e-10
+            u, dt, a_log, b, c, d = random_scan_inputs(rng, **dims)
+            out = selective_scan(Tensor(u), Tensor(dt), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+            assert np.abs(out.data - naive_scan(u, *discretize(dt, a_log), b, c, d)).max() < 1e-10
 
     def test_channel_major_input_rejected(self):
-        u, delta, a_mat, b, c, d = random_scan_inputs(np.random.default_rng(0), channels=3, n=6)
-        u_cm, delta_cm = u.swapaxes(1, 2), delta.swapaxes(1, 2)   # [B, C, N]
+        u, dt, a_log, b, c, d = random_scan_inputs(np.random.default_rng(0), channels=3, n=6)
+        u_cm, dt_cm = u.swapaxes(1, 2), dt.swapaxes(1, 2)   # [B, C, N]
         with pytest.raises(ShapeError):
-            selective_scan(Tensor(u_cm), Tensor(delta_cm), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
+            selective_scan(Tensor(u_cm), Tensor(dt_cm), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
 
     def test_nonpositive_delta_rejected(self):
-        u, delta, a_mat, b, c, d = random_scan_inputs(RNG)
-        delta[0, 0, 0] = 0.0
+        # softplus(-1000) is 0.0 in float64
+        u, dt, a_log, b, c, d = random_scan_inputs(RNG)
+        dt[0, 0, 0] = -1000.0
         with pytest.raises(NonPositiveStepError):
-            selective_scan(Tensor(u), Tensor(delta), Tensor(a_mat), Tensor(b), Tensor(c), Tensor(d))
+            selective_scan(Tensor(u), Tensor(dt), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+
+    def test_softplus_underflow_in_float32_rejected(self):
+        # softplus(-200) is 0.0 in float32; softplus(-100) is subnormal, still > 0
+        arrays = [a.astype(np.float32) for a in random_scan_inputs(RNG)]
+        arrays[1][0, 0, 0] = -100.0
+        assert np.all(np.isfinite(selective_scan(*map(Tensor, arrays)).data))
+        arrays[1][0, 0, 0] = -200.0
+        with pytest.raises(NonPositiveStepError):
+            selective_scan(*map(Tensor, arrays))
 
     def test_gradients_vs_finite_differences(self):
+        # all six inputs, dt and A_log through the softplus and exp the node forms
         rng = np.random.default_rng(3)
-        u, delta, a_mat, b, c, d = random_scan_inputs(rng, batch=1, channels=2, n=4, state=3)
-        arrays = [u, delta, a_mat, b, c, d]
-        probe = rng.standard_normal(u.shape)
+        arrays = random_scan_inputs(rng, batch=1, channels=2, n=4, state=3)
+        probe = rng.standard_normal(arrays[0].shape)
 
         def loss_from(tensors):
             out = selective_scan(*tensors)
@@ -186,7 +214,7 @@ class TestFusedScanOracle:
             for dims, arrays in self.sweep_inputs(rng):
                 tensors = [Tensor(a.astype(dtype)) for a in arrays]
                 got = selective_scan(*tensors).data
-                want = tape_scan_reference(*tensors).data
+                want = tape_scan_oracle(*tensors).data
                 assert got.dtype == dtype
                 assert got.tobytes() == want.tobytes(), (run, dims)
 
@@ -197,7 +225,7 @@ class TestFusedScanOracle:
             for dims, arrays in self.sweep_inputs(rng):
                 probe = Tensor(rng.standard_normal(arrays[0].shape))
                 grads = []
-                for scan in (selective_scan, tape_scan_reference):
+                for scan in (selective_scan, tape_scan_oracle):
                     leaves = [Tensor(a, requires_grad=True) for a in arrays]
                     grads.append(gradients((scan(*leaves) * probe).sum(), leaves))
                 for idx, (got, want) in enumerate(zip(*grads)):
@@ -245,8 +273,9 @@ class TestFusedScanOracle:
         slab = span * batch * state * channels * 8
         assert selective_scan(*leaves).requires_grad
         kept = kept_bytes(lambda: selective_scan(*leaves))
-        # the output, the run-end states and at most one slab more
-        limit = token_sized + ends + slab
+        # the output, delta = softplus(dt), the run-end states and at most
+        # one slab more
+        limit = 2 * token_sized + ends + slab
         assert kept < limit, f"{kept} bytes kept, limit {limit}"
 
     @pytest.mark.parametrize("wanted", [(0, 3), (1, 2, 5), (4,)])
@@ -285,10 +314,10 @@ class TestScanOperandLayout:
     @pytest.mark.parametrize("batch,n", [(1, 6), (3, 1), (3, 6)])
     def test_strided_and_contiguous_b_c_give_the_same_bits(self, dtype, batch, n):
         rng = np.random.default_rng(16)
-        u, delta, a_mat, b, c, d = (a.astype(dtype) for a in random_scan_inputs(
+        u, dt, a_log, b, c, d = (a.astype(dtype) for a in random_scan_inputs(
             rng, batch=batch, channels=5, n=n, state=3))
         g = rng.standard_normal(u.shape).astype(dtype)
-        before = [a.copy() for a in (u, delta, g)]
+        before = [a.copy() for a in (u, dt, g)]
         results = []
         for strided in (True, False):
             if strided:   # as the model slices B and C out of one projection
@@ -297,12 +326,12 @@ class TestScanOperandLayout:
                 assert not b_t.data.flags.c_contiguous
             else:
                 b_t, c_t = Tensor(b.copy(), requires_grad=True), Tensor(c.copy(), requires_grad=True)
-            inputs = [Tensor(u, requires_grad=True), Tensor(delta, requires_grad=True),
-                      Tensor(a_mat, requires_grad=True), b_t, c_t, Tensor(d, requires_grad=True)]
+            inputs = [Tensor(u, requires_grad=True), Tensor(dt, requires_grad=True),
+                      Tensor(a_log, requires_grad=True), b_t, c_t, Tensor(d, requires_grad=True)]
             out = selective_scan(*inputs)
             out._backward(g)
             results.append([out.data] + [t.grad for t in inputs])
-            for name, a, kept in zip(("u", "delta", "g"), (u, delta, g), before):
+            for name, a, kept in zip(("u", "dt", "g"), (u, dt, g), before):
                 assert a.tobytes() == kept.tobytes(), f"the backward wrote into the caller's {name}"
         for idx, (got, want) in enumerate(zip(*results)):
             assert got.dtype == dtype
@@ -425,10 +454,10 @@ class TestBidirectional:
 
     @pytest.mark.parametrize("n_tokens,embed_dim", [(4, 8), (21, 16)])
     def test_tape_nodes_per_call(self, n_tokens, embed_dim):
-        # 17 nodes a direction, the flip back of the reversed branch and the
+        # 14 nodes a direction, the flip back of the reversed branch and the
         # sum; reversing an input that needs no gradient adds no node
         p_fwd = tiny_params(embed_dim, n_tokens, seed=1)
         p_bwd = tiny_params(embed_dim, n_tokens, seed=2)
         x = np.random.default_rng(0).standard_normal((2, n_tokens, embed_dim))
         out = bidirectional_mamba(Tensor(x), p_fwd, p_bwd)
-        assert tape_nodes(out) == 36
+        assert tape_nodes(out) == 30

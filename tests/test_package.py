@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,17 @@ def test_every_exported_name_exists(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+# A measured time or the machine it came from belongs in CHANGES.md, where
+# it is dated by the change that measured it, not in a docstring or comment.
+LAB_NOTE = re.compile(r"\d+(\.\d+)? ?(ms|µs|ns)\b|x86|\d-core")
+
+
+def test_sources_quote_no_timings_or_machines():
+    package = Path(attention_mamba.__file__).parent
+    quoted = [f"{path.relative_to(package)}:{lineno}: {line.strip()}"
+              for path in sorted(package.rglob("*.py"))
+              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if LAB_NOTE.search(line)]
+    assert not quoted, "timings or machines quoted in the sources:\n" + "\n".join(quoted)

@@ -241,7 +241,7 @@ class TestTrain:
             np.testing.assert_array_equal(t.data, ref.data, err_msg=name)
 
     def test_underflowed_step_size_rolls_back(self):
-        # softplus(-200) is 0.0 in float32, so the scan sees a zero step size
+        # the scan's step size softplus(-200) underflows to 0.0 in float32
         model = tiny_model(precision="32")
         for branch in (model.mamba_fwd, model.mamba_bwd):
             branch.dt_proj.bias.data[:] = -200.0
