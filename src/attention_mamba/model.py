@@ -178,9 +178,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Read a container written by ``save_checkpoint``.
 
     Raises CheckpointError when the file has a bad magic, is cut short,
-    has bytes after the last record, names a tensor twice or does not hold
-    every entry of ``V1_FIXED_ENTRIES`` at its value, and ConfigError when
-    the rest of its config record is not a valid ModelConfig.
+    has bytes after the last record, names a tensor twice, holds a
+    non-finite value in a tensor or does not hold every entry of
+    ``V1_FIXED_ENTRIES`` at its value, and ConfigError when the rest of its
+    config record is not a valid ModelConfig.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())   # slices below share its buffer
@@ -229,7 +230,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
         n_bytes = 4 * math.prod(shape)   # exact: extents up to 2**32-1 overflow int64
-        tensors[name] = np.frombuffer(take(n_bytes), dtype="<f4").reshape(shape).copy()
+        array = np.frombuffer(take(n_bytes), dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+        tensors[name] = array
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last tensor record")
     return config, tensors

@@ -7,13 +7,15 @@ or float64. The op set is what the forecasting model runs. There is no
 GPU path and no graph optimization.
 
 The node contract: an op computes its output array, defines ``back(g)``,
-which passes its inputs' gradients for the output gradient g to ``_acc``,
-and returns ``_node(data, parents, back)``. ``_node`` is the one place a
-node is made. The output keeps ``parents`` as ``_prev`` and ``back`` as
-``_backward`` only when taping is on and some parent requires grad;
-otherwise it is a constant that keeps neither. ``back`` is built before the
-node exists, so it cannot refer to the node and make a reference cycle,
-which would hold the upstream graph until the cyclic collector runs.
+which forms every input's gradient for the output gradient g and passes
+each to ``_acc``, and returns ``_node(data, parents, back)``. ``_acc`` is
+the one place that decides which input gets a gradient: an input that does
+not require grad gets none. ``_node`` is the one place a node is made.
+The output keeps ``parents`` as ``_prev`` and ``back`` as ``_backward``
+only when taping is on and some parent requires grad; otherwise it is a
+constant that keeps neither. ``back`` is built before the node exists, so
+it cannot refer to the node and make a reference cycle, which would hold
+the upstream graph until the cyclic collector runs.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
@@ -50,8 +52,9 @@ backward rebuilds the padded window view of x for the kernel gradient. The
 selective scan keeps delta, A^T and its [runs, B, S, C] run-end states; its
 backward rebuilds each run's delta * u, decays and states, and its
 token-major copies of delta, B, C and the upstream gradient. ``fuse_pool``
-keeps only the cached pooling maps; its backward finds the argmax from x. Each rebuild repeats the forward's
-operations on the same operands, so no bit of any gradient changes.
+keeps only the cached pooling maps; its backward finds the argmax from x.
+Each rebuild repeats the forward's operations on the same operands, so no
+bit of any gradient changes.
 
 ``backward`` frees each interior node's gradient once the node has passed
 it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
@@ -101,7 +104,8 @@ class ShapeError(ValueError):
 
 
 class NonPositiveStepError(ValueError):
-    """A selective scan's step size softplus(dt) underflowed to 0."""
+    """A selective scan's step size softplus(dt) is not a positive number: it
+    underflowed to 0, or it is NaN."""
 
 
 # --------------------------------------------------------------------------
@@ -298,15 +302,16 @@ def _binary(a: Tensor, b, ufunc, grad_a, grad_b) -> Tensor:
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     def back(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+        _acc(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
+        _acc(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
     return _node(ufunc(a.data, b.data), (a, b), back)
 
 
 def _acc(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
-    """Add g into t.grad, or, given a basic index, into t.grad[index]."""
+    """Add g into t.grad, or, given a basic index, into t.grad[index]; a
+    tensor that does not require grad gets nothing."""
+    if not t.requires_grad:
+        return
     if t.grad is None and index is None:   # a copy: g may be, or share memory with, another gradient
         t.grad = np.array(g, dtype=t.data.dtype, order="C")
     elif t.grad is None:
@@ -352,12 +357,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     p = b.data.shape[-1]
     _add_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * p)
     def back(g):
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            _acc(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            _acc(b, _unbroadcast(gb, b.data.shape))
+        _acc(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+        _acc(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
     return _node(data, (a, b), back)
 
 
@@ -419,12 +420,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     _add_macs(x2.shape[0] * weight.data.shape[0] * weight.data.shape[1])
     def back(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            _acc(x, (g2 @ weight.data.T).reshape(x.data.shape))
-        if weight.requires_grad:
-            _acc(weight, x2.T @ g2)
-        if bias.requires_grad:
-            _acc(bias, g2.sum(axis=0))
+        _acc(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        _acc(weight, x2.T @ g2)
+        _acc(bias, g2.sum(axis=0))
     return _node(y.reshape(lead + (weight.data.shape[1],)), (x, weight, bias), back)
 
 
@@ -457,14 +455,10 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     y += bias.data
     _add_macs(batch * channels * n_seq * width)
     def back(g):
-        if x.requires_grad:
-            g_windows = _token_windows(g, width, lead=0)
-            _acc(x, np.einsum("bnkc,kc->bnc", g_windows, taps[::-1]))
-        if weight.requires_grad:
-            x_windows = _token_windows(x.data, width, lead=width - 1)
-            _acc(weight, np.einsum("bnc,bnkc->kc", g, x_windows).T)
-        if bias.requires_grad:
-            _acc(bias, g.sum(axis=(0, 1)))
+        _acc(x, np.einsum("bnkc,kc->bnc", _token_windows(g, width, lead=0), taps[::-1]))
+        x_windows = _token_windows(x.data, width, lead=width - 1)
+        _acc(weight, np.einsum("bnc,bnkc->kc", g, x_windows).T)
+        _acc(bias, g.sum(axis=(0, 1)))
     return _node(y, (x, weight, bias), back)
 
 
@@ -499,8 +493,8 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
         h_t = exp(delta_t * A^T) * h_{t-1} + (delta_t * u_t) * B_t^T
         y_t = C_t @ h_t + D * u_t
     Raises ShapeError on mismatched shapes, and NonPositiveStepError where
-    softplus(dt) underflows to 0: dt at or below about -104 in float32, or
-    -745 in float64.
+    softplus(dt) is not a positive number: NaN, or 0 where it underflows, at
+    dt at or below about -104 in float32, or -745 in float64.
 
     The states are channels-last, [B, S, C] a token, and are built in runs
     of tokens small enough to stay in cache. For each run, one helper
@@ -515,7 +509,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     and reads the gradients off dh and h in closed form. dt gets
     d_delta * sigmoid(dt), the sigmoid by ``_sigmoid``, and A_log gets
     d_A * A: the products that softplus, exp and negation as separate nodes
-    would form. An input without requires_grad gets no .grad.
+    would form.
 
     Both passes read C-contiguous token-major [N, B, *] copies of delta, B
     and C, and the backward one of the upstream gradient. The node keeps
@@ -537,8 +531,9 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
             f"B/C shapes {B_ssm.data.shape}/{C_ssm.data.shape} must be {(batch, n_tokens, state_dim)}"
         )
     delta = np.maximum(dt.data, 0) + np.log1p(np.exp(-np.abs(dt.data)))
-    if np.any(delta <= 0):
-        raise NonPositiveStepError("selective_scan: softplus(dt) underflowed to 0")
+    if not np.all(delta > 0):
+        raise NonPositiveStepError(
+            "selective_scan: softplus(dt) is not a positive number (underflowed to 0, or NaN)")
 
     inputs = (u, dt, A_log, B_ssm, C_ssm, D_skip)
     dtype = np.result_type(*(t.data for t in inputs))
@@ -625,19 +620,14 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
         # the gradients are copied out
         del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab, dh_slab
         du = dec = h = dh = dh_b = log_grad = None
-        if dt.requires_grad:   # softplus' derivative is the sigmoid
-            np.multiply(d_log, _sigmoid(dt.data).transpose(1, 0, 2), out=d_log)
-            _acc(dt, d_log.transpose(1, 0, 2))
-        if A_log.requires_grad:   # d exp(A_log) / d A_log = exp(A_log) = -A
-            _acc(A_log, (d_a * a_t).T)
-        if u.requires_grad:
-            _acc(u, g_n.transpose(1, 0, 2))
-        if B_ssm.requires_grad:
-            _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
-        if C_ssm.requires_grad:
-            _acc(C_ssm, d_c[:, :, :, 0].transpose(1, 0, 2))
-        if D_skip.requires_grad:
-            _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
+        # softplus' derivative is the sigmoid
+        np.multiply(d_log, _sigmoid(dt.data).transpose(1, 0, 2), out=d_log)
+        _acc(dt, d_log.transpose(1, 0, 2))
+        _acc(A_log, (d_a * a_t).T)   # d exp(A_log) / d A_log = exp(A_log) = -A
+        _acc(u, g_n.transpose(1, 0, 2))
+        _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
+        _acc(C_ssm, d_c[:, :, :, 0].transpose(1, 0, 2))
+        _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
     return _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs, back)
 
 

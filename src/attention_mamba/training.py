@@ -168,7 +168,7 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
 
     Restores the best-validation checkpoint into the model on every exit. A
     non-finite training loss, gradient or validation MSE, or a step size that
-    underflowed to zero (NonPositiveStepError from the scan), ends the run
+    is not a positive number (NonPositiveStepError from the scan), ends the run
     flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
     Each step's graph dies with the frame of ``_train_step``, so one tape is
     alive at a time, and the validation pass builds none.

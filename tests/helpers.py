@@ -20,10 +20,9 @@ def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def back(g):
         start = 0
         for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + size)
-                _acc(t, g[tuple(sl)])
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(start, start + size)
+            _acc(t, g[tuple(sl)])
             start += size
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
 
@@ -57,18 +56,14 @@ def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         y += weight.data[:, k] * xp[:, k:k + n_seq]
     y += bias.data
     def back(g):
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for k in range(width):
-                gxp[:, k:k + n_seq] += weight.data[:, k] * g
-            _acc(x, gxp[:, width - 1:])
-        if weight.requires_grad:
-            gw = np.empty_like(weight.data)
-            for k in range(width):
-                gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
-            _acc(weight, gw)
-        if bias.requires_grad:
-            _acc(bias, g.sum(axis=(0, 1)))
+        gxp = np.zeros_like(xp)
+        gw = np.empty_like(weight.data)
+        for k in range(width):
+            gxp[:, k:k + n_seq] += weight.data[:, k] * g
+            gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
+        _acc(x, gxp[:, width - 1:])
+        _acc(weight, gw)
+        _acc(bias, g.sum(axis=(0, 1)))
     return _node(y, (x, weight, bias), back)
 
 

@@ -163,6 +163,14 @@ class TestSelectiveScan:
         with pytest.raises(NonPositiveStepError):
             selective_scan(*map(Tensor, arrays))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_step_rejected(self, dtype):
+        # NaN <= 0 is false, so only a check that the step is > 0 catches it
+        arrays = [a.astype(dtype) for a in random_scan_inputs(RNG, batch=1, channels=3, n=4)]
+        arrays[1][0, 2, 1] = np.nan
+        with pytest.raises(NonPositiveStepError, match="NaN"):
+            selective_scan(*map(Tensor, arrays))
+
     def test_gradients_vs_finite_differences(self):
         # all six inputs, dt and A_log through the softplus and exp the node forms
         rng = np.random.default_rng(3)

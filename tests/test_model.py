@@ -352,6 +352,15 @@ class TestCheckpointErrors:
         assert list(tensors) == ["a", "scalar", "b"]
         np.testing.assert_array_equal(tensors["scalar"], np.float32(2.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.ckpt"
+        b = np.ones(4)
+        b[2] = bad
+        save_checkpoint(path, TINY, SMALL_TENSORS | {"b": b})
+        with pytest.raises(CheckpointError, match="tensor 'b' holds a non-finite value"):
+            load_checkpoint(path)
+
     def test_file_cut_short_anywhere_rejected(self, tmp_path):
         blob = self.small_checkpoint(tmp_path).read_bytes()
         cut = tmp_path / "cut.ckpt"

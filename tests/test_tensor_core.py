@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -229,6 +230,40 @@ def test_primitives_record_no_tape_under_no_grad(name, op, make):
 def test_primitives_record_no_tape_on_constants(name, op, make):
     out = op(*[Tensor(a) for a in make()])
     assert not out.requires_grad and out._prev == () and out._backward is None
+
+
+# Every op with more than one input, a broadcast operand where the op
+# broadcasts: the cases of the one gradient rule, that ``_acc`` alone
+# decides which input gets a gradient.
+MULTI_INPUT_CASES = [
+    ("add", lambda a, b: a + b, lambda: [rand(3, 4), rand(1, 4)]),
+    ("sub", lambda a, b: a - b, lambda: [rand(2, 1, 4), rand(3, 1)]),
+    ("mul", lambda a, b: a * b, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
+    ("div", lambda a, b: a / b, lambda: [rand(3, 4), rand(4, lo=0.5, hi=2.0)]),
+    ("matmul", matmul, lambda: [rand(2, 3, 4), rand(4, 5)]),
+    ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
+    ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 6, 3), rand(3, 3), rand(3)]),
+    ("selective_scan", selective_scan,
+     lambda: [rand(1, 4, 3), rand(1, 4, 3), rand(3, 2), rand(1, 4, 2), rand(1, 4, 2), rand(3)]),
+]
+
+
+@pytest.mark.parametrize("name,op,make", MULTI_INPUT_CASES, ids=[c[0] for c in MULTI_INPUT_CASES])
+def test_constant_inputs_get_no_gradient_and_change_no_other(name, op, make):
+    arrays = make()
+    probe = Tensor(RNG.standard_normal(op(*map(Tensor, arrays)).data.shape))
+    def grads(constant):
+        leaves = [Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
+        backward((op(*leaves) * probe).sum())
+        return [leaf.grad for leaf in leaves]
+    every = grads(())
+    for size in range(1, len(arrays)):
+        for constant in itertools.combinations(range(len(arrays)), size):
+            for i, got in enumerate(grads(constant)):
+                if i in constant:
+                    assert got is None, f"constant input {i} of {constant} received a gradient"
+                else:
+                    assert np.array_equal(got, every[i]), f"input {i}, constants {constant}"
 
 
 class TestNoGrad:
