@@ -34,7 +34,7 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed: bad magic, cut short, bytes after the
     last record, a tensor name given twice, a fixed v1 entry missing or
     other than the model runs, or parameters that do not fit the model its
-    config describes."""
+    config describes. On saving: a tensor that is not finite as float32."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,26 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]) -
     The config record is the config's fields plus ``V1_FIXED_ENTRIES``.
     Every tensor is stored as little-endian float32 regardless of the
     in-memory precision; names are UTF-8, extents unsigned 32-bit.
+
+    Every tensor is cast before the file is opened. One that is not finite
+    as float32 (NaN, infinite, or past float32's range) raises
+    CheckpointError naming the first such tensor, and no file is written:
+    ``load_checkpoint`` would refuse it.
     """
     record = config.to_dict() | V1_FIXED_ENTRIES
     config_blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    with np.errstate(over="ignore"):   # a value past float32's range becomes inf, refused below
+        arrays = {name: np.ascontiguousarray(array, dtype="<f4") for name, array in tensors.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} is not finite as float32")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors.items():
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
             encoded = name.encode()
-            arr = np.ascontiguousarray(array, dtype="<f4")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))

@@ -1,21 +1,42 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every forward operation returns a new :class:`Tensor` that remembers its
-parents and a backward closure; ``backward()`` replays the implicit tape
-once in reverse topological order. Arrays are numpy, row-major, float32
-or float64. The op set is what the forecasting model runs. There is no
-GPU path and no graph optimization.
+Every taped operation returns a new :class:`Tensor` that points to its
+node in the graph; ``backward()`` sweeps the graph once, in reverse
+topological order. Arrays are numpy, row-major, float32 or float64. The op
+set is what the forecasting model runs. There is no GPU path and no graph
+optimization.
 
-The node contract: an op computes its output array, defines ``back(g)``,
-which forms every input's gradient for the output gradient g and passes
-each to ``_acc``, and returns ``_node(data, parents, back)``. ``_acc`` is
-the one place that decides which input gets a gradient: an input that does
-not require grad gets none. ``_node`` is the one place a node is made.
-The output keeps ``parents`` as ``_prev`` and ``back`` as ``_backward``
-only when taping is on and some parent requires grad; otherwise it is a
-constant that keeps neither. ``back`` is built before the node exists, so
-it cannot refer to the node and make a reference cycle, which would hold
-the upstream graph until the cyclic collector runs.
+The graph is kept apart from the tensors. A graph node (``_Node``) holds
+three things: the graph nodes of its op's inputs (``_prev``), its backward
+closure (``_backward``) and the gradient summed into it during a sweep
+(``grad``). An input's graph node is the node of the op that made it, the
+input itself if it is a leaf that requires grad (its gradient collects in
+its ``.grad``), or None if it takes no gradient. Leaves apart, a node
+holds no tensor, so an op's output array lives only while a name or a
+closure holds it: an output that no backward reads dies with the frame
+that made it.
+
+The op contract: an op computes its output array, defines
+``back(g, *inputs)``, which takes the output gradient g and the inputs'
+graph nodes, forms every input's gradient and passes each to ``_acc``, and
+returns ``_node(data, inputs, back)``. ``back`` captures the arrays it
+reads and never a Tensor, which would keep the tensor's array alive until
+the sweep reaches the node; in the free-function ops its parameters shadow
+the input tensors' names, so its body cannot reach them. ``_acc`` is the
+one place that decides which input gets a gradient: a None node gets none.
+``_node`` is the one place a node is made, and it makes one only when
+taping is on and some input requires grad; otherwise the output is a
+constant without a node. ``back`` is built before the node exists, so it
+cannot refer to the node and make a reference cycle, which would hold the
+upstream graph until the cyclic collector runs.
+
+A sweep consumes its graph: once a node's closure has run, the sweep drops
+the node's gradient, closure and parent links, so each array a closure
+saved is freed as soon as the backward that reads it is done. One sweep
+per graph: a sweep that reaches a swept node raises ``GraphConsumedError``
+before it changes any gradient; a second sweep needs a second forward.
+Only leaves keep ``.grad``. Inside ``no_grad()`` no op records a graph, so
+a forward holds only its live arrays.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
 back over broadcast axes. Only leading-batch broadcasting is part of the
@@ -40,25 +61,22 @@ window view, forward and backward.
 SiLU and the scan's dt gradient take the sigmoid from numpy's vectorised
 exp, not from scipy's scalar-loop ``expit``.
 
-What a node keeps is its parents plus what its backward closure names; an
-array the backward can rebuild cheaply from its parents' data is rebuilt
-rather than kept. The arithmetic ops, matmul, ``slice_axis``, ``reverse``,
-the transposes and the reductions keep nothing of their own (``slice_axis``
-only its index); ``affine`` keeps x as a 2-D matrix, a view unless x is
-strided. ``sqrt`` and ``softmax_last`` keep their outputs, and ``gelu``
-its normal cdf, the size of x. ``silu`` keeps no sigmoid: its backward
-recomputes it from x. The causal convolution keeps its [K, C] taps; its
-backward rebuilds the padded window view of x for the kernel gradient. The
-selective scan keeps delta, A^T and its [runs, B, S, C] run-end states; its
-backward rebuilds each run's delta * u, decays and states, and its
-token-major copies of delta, B, C and the upstream gradient. ``fuse_pool``
-keeps only the cached pooling maps; its backward finds the argmax from x.
-Each rebuild repeats the forward's operations on the same operands, so no
-bit of any gradient changes.
-
-``backward`` frees each interior node's gradient once the node has passed
-it on; only leaves keep ``.grad``. Inside ``no_grad()`` no op records a
-tape: outputs are constants, so a forward holds only its live arrays.
+What a closure keeps is what its backward reads; an array the backward can
+rebuild cheaply from the kept ones is rebuilt rather than kept. ``+``,
+``-``, ``reverse``, the transposes and the reductions keep only shapes, and
+``slice_axis`` its index and its input's shape; ``*`` and ``/`` keep both
+operands, matmul both factors. ``affine`` keeps the weight and x as a 2-D
+matrix, a view unless x is strided. ``sqrt`` and ``softmax_last`` keep
+their outputs, ``gelu`` x and its normal cdf, and ``silu`` x alone: its
+backward computes the sigmoid again. The causal convolution keeps x and
+its [K, C] taps; its backward rebuilds the padded window view of x for the
+kernel gradient. The selective scan keeps the arrays of u, dt, B, C and D,
+delta, A^T and its [runs, B, S, C] run-end states; its backward rebuilds
+each run's delta * u, decays and states, and its token-major copies of
+delta, B, C and the upstream gradient. ``fuse_pool`` keeps x and the cached
+pooling maps; its backward finds the argmax from x. Each rebuild repeats
+the forward's operations on the same operands, so no bit of any gradient
+changes.
 """
 
 from __future__ import annotations
@@ -76,6 +94,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonPositiveStepError",
+    "GraphConsumedError",
     "matmul",
     "slice_axis",
     "reverse",
@@ -106,6 +125,11 @@ class ShapeError(ValueError):
 class NonPositiveStepError(ValueError):
     """A selective scan's step size softplus(dt) is not a positive number: it
     underflowed to 0, or it is NaN."""
+
+
+class GraphConsumedError(RuntimeError):
+    """A backward sweep reached a graph node that an earlier sweep consumed:
+    one sweep per graph, so a second sweep needs the forward run again."""
 
 
 # --------------------------------------------------------------------------
@@ -161,13 +185,15 @@ def no_grad():
 # tensor
 
 class Tensor:
-    """A dense n-d float array, optionally a node on the autodiff tape.
+    """A dense n-d float array, optionally the output of a taped op.
 
-    ``requires_grad`` marks roots (parameters) and propagates through ops;
-    subgraphs that cannot reach a root keep no tape references.
+    ``requires_grad`` marks leaves (parameters) and propagates through ops.
+    A taped op's output points to its graph node (``_node``); a leaf that
+    requires grad is its own graph node and collects ``.grad``; a constant,
+    or any tensor that cannot reach a leaf, has neither.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -176,8 +202,20 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._prev: tuple = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _prev(self) -> tuple:
+        """The graph nodes of the inputs of the op that made this tensor;
+        empty for a leaf, a constant, or once a sweep has consumed the node."""
+        return self._node._prev if self._node is not None else ()
+
+    def _graph_node(self):
+        """Where this tensor's gradient goes: the graph node of the op that
+        made it, the tensor itself if it is a leaf that requires grad, or None."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else None
 
     # -- basic introspection ------------------------------------------------
 
@@ -192,21 +230,21 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _binary(self, other, np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return _binary(self, other, np.add, lambda a, b: (lambda g: g, lambda g: g))
 
     def __sub__(self, other):
-        return _binary(self, other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+        return _binary(self, other, np.subtract, lambda a, b: (lambda g: g, lambda g: -g))
 
     def __mul__(self, other):
-        return _binary(self, other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+        return _binary(self, other, np.multiply, lambda a, b: (lambda g: g * b, lambda g: g * a))
 
     def __truediv__(self, other):
         return _binary(self, other, np.true_divide,
-                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+                       lambda a, b: (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __neg__(self):
-        def back(g):
-            _acc(self, -g)
+        def back(g, x):
+            _acc(x, -g)
         return _node(-self.data, (self,), back)
 
     # -- shape ops ----------------------------------------------------------
@@ -215,16 +253,16 @@ class Tensor:
         """Swap the two trailing axes; materializes a contiguous copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose_last2 needs ndim >= 2, got shape {self.data.shape}")
-        def back(g):
-            _acc(self, np.ascontiguousarray(g.swapaxes(-1, -2)))
+        def back(g, x):
+            _acc(x, np.ascontiguousarray(g.swapaxes(-1, -2)))
         return _node(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,), back)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self) -> "Tensor":
         shape = self.data.shape
-        def back(g):
-            _acc(self, np.broadcast_to(g, shape))
+        def back(g, x):
+            _acc(x, np.broadcast_to(g, shape))
         return _node(self.data.sum(), (self,), back)
 
     def mean(self, axis: int | None = None) -> "Tensor":
@@ -232,36 +270,36 @@ class Tensor:
         y = self.data.mean(axis=axis, keepdims=axis is not None)
         shape = self.data.shape
         count = self.data.size if axis is None else shape[axis]
-        def back(g):
-            _acc(self, np.broadcast_to(g, shape) / count)
+        def back(g, x):
+            _acc(x, np.broadcast_to(g, shape) / count)
         return _node(y, (self,), back)
 
     # -- pointwise nonlinearities --------------------------------------------
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        def back(g):
-            _acc(self, g * 0.5 / y)
+        def back(g, x):
+            _acc(x, g * 0.5 / y)
         return _node(y, (self,), back)
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x), the sigmoid 1 / (1 + exp(-x)) by numpy's exp
-        (``_sigmoid``), at most 4 ulp from scipy's ``expit``. The node keeps
-        no sigmoid: the backward computes it again from x, bit for bit."""
-        x = self.data
-        def back(g):
-            s = _sigmoid(x)
-            _acc(self, g * (s * (1.0 + x * (1.0 - s))))
-        return _node(x * _sigmoid(x), (self,), back)
+        (``_sigmoid``), at most 4 ulp from scipy's ``expit``. The closure
+        keeps no sigmoid: the backward computes it again from x, bit for bit."""
+        data = self.data
+        def back(g, x):
+            s = _sigmoid(data)
+            _acc(x, g * (s * (1.0 + data * (1.0 - s))))
+        return _node(data * _sigmoid(data), (self,), back)
 
     def gelu(self) -> "Tensor":
         """Exact GeLU 0.5*x*(1 + erf(x/sqrt(2))), not the tanh approximation."""
-        x = self.data
-        cdf = 0.5 * (1.0 + _sp_erf(x * _INV_SQRT2))
-        def back(g):
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            _acc(self, g * (cdf + x * pdf))
-        return _node(x * cdf, (self,), back)
+        data = self.data
+        cdf = 0.5 * (1.0 + _sp_erf(data * _INV_SQRT2))
+        def back(g, x):
+            pdf = np.exp(-0.5 * data * data) * _INV_SQRT2PI
+            _acc(x, g * (cdf + data * pdf))
+        return _node(data * cdf, (self,), back)
 
 
 # --------------------------------------------------------------------------
@@ -283,44 +321,65 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(s, out=s)
 
 
-def _node(data: np.ndarray, parents: tuple, back) -> Tensor:
-    """An op's output: taped, with `parents` and `back`, when taping is on and
-    some parent requires grad; otherwise a constant that keeps neither."""
+class _Node:
+    """A taped op's place in the graph: the graph nodes of its inputs, None
+    for an input that takes no gradient; its backward closure; and the
+    gradient summed into it while a sweep runs. Once the sweep has run the
+    closure, all three are gone: None, None and ()."""
+
+    __slots__ = ("_prev", "_backward", "grad")
+    requires_grad = True   # as on a Tensor: walks along ``_prev`` test it
+
+    def __init__(self, prev: tuple, backward) -> None:
+        self._prev = prev
+        self._backward = backward
+        self.grad = None
+
+
+def _node(data: np.ndarray, inputs: tuple, back) -> Tensor:
+    """An op's output: with a graph node over the inputs' graph nodes and
+    `back` when taping is on and some input requires grad; otherwise a
+    constant without a node."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    out._prev = parents if out.requires_grad else ()
-    out._backward = back if out.requires_grad else None
+    prev = tuple([t._graph_node() for t in inputs]) if _grad_enabled else ()
+    out.requires_grad = prev.count(None) < len(prev)
+    out._node = _Node(prev, back) if out.requires_grad else None
     return out
 
 
-def _binary(a: Tensor, b, ufunc, grad_a, grad_b) -> Tensor:
+def _binary(a: Tensor, b, ufunc, grads) -> Tensor:
     """ufunc(a, b) under numpy broadcasting, b a Tensor or a constant taken at
-    a's dtype. grad_a and grad_b map the arrays (g, a, b) to each operand's
-    gradient, which is summed back to its shape."""
+    a's dtype. grads maps the operand arrays (a, b) to the two functions of g
+    that form each operand's gradient, so the closure keeps only the arrays
+    those functions read. Each gradient is summed back to its operand's shape."""
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    def back(g):
-        _acc(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
-        _acc(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+    grad_a, grad_b = grads(a.data, b.data)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    def back(g, a, b):
+        _acc(a, _unbroadcast(grad_a(g), shape_a))
+        _acc(b, _unbroadcast(grad_b(g), shape_b))
     return _node(ufunc(a.data, b.data), (a, b), back)
 
 
-def _acc(t: Tensor, g: np.ndarray, index: tuple | None = None) -> None:
-    """Add g into t.grad, or, given a basic index, into t.grad[index]; a
-    tensor that does not require grad gets nothing."""
-    if not t.requires_grad:
+def _acc(node, g: np.ndarray, index: tuple | None = None, shape: tuple | None = None) -> None:
+    """Add g into a graph node's gradient, or, given a basic index into a
+    gradient of `shape`, into grad[index]; a None node gets nothing. A
+    gradient takes the dtype its backward forms it in, which is its input's
+    wherever an op's operands share one dtype, as in every model graph."""
+    if node is None:
         return
-    if t.grad is None and index is None:   # a copy: g may be, or share memory with, another gradient
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
-    elif t.grad is None:
-        t.grad = np.zeros(t.data.shape, t.data.dtype)
-        t.grad[index] = g
+    if node.grad is None and index is None:   # a copy: g may be, or share memory with, another gradient
+        node.grad = np.array(g, order="C")
+    elif node.grad is None:
+        node.grad = np.zeros(shape, g.dtype)
+        node.grad[index] = g
     elif index is None:
-        t.grad += g
+        node.grad += g
     else:
-        t.grad[index] += g
+        node.grad[index] += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -356,9 +415,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     m, k = a.data.shape[-2], a.data.shape[-1]
     p = b.data.shape[-1]
     _add_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * p)
-    def back(g):
-        _acc(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        _acc(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+    a_data, b_data = a.data, b.data
+    def back(g, a, b):
+        _acc(a, _unbroadcast(np.matmul(g, b_data.swapaxes(-1, -2)), a_data.shape))
+        _acc(b, _unbroadcast(np.matmul(a_data.swapaxes(-1, -2), g), b_data.shape))
     return _node(data, (a, b), back)
 
 
@@ -375,14 +435,15 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-    def back(g):
-        _acc(x, g, sl)
+    shape = x.data.shape
+    def back(g, x):
+        _acc(x, g, sl, shape)
     return _node(x.data[sl], (x,), back)
 
 
 def reverse(x: Tensor, axis: int) -> Tensor:
     """Reverse along one axis; an exact involution."""
-    def back(g):
+    def back(g, x):
         _acc(x, np.flip(g, axis=axis))
     return _node(np.ascontiguousarray(np.flip(x.data, axis=axis)), (x,), back)
 
@@ -400,7 +461,7 @@ def softmax_last(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    def back(g):
+    def back(g, x):
         dot = (g * s).sum(axis=-1, keepdims=True)
         gx = s * (g - dot)
         gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0
@@ -414,16 +475,16 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"affine input extent {x.data.shape[-1]} does not match weight {weight.data.shape}"
         )
-    lead = x.data.shape[:-1]
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    y = x2 @ weight.data + bias.data
-    _add_macs(x2.shape[0] * weight.data.shape[0] * weight.data.shape[1])
-    def back(g):
+    x_shape, w = x.data.shape, weight.data
+    x2 = x.data.reshape(-1, x_shape[-1])
+    y = x2 @ w + bias.data
+    _add_macs(x2.shape[0] * w.shape[0] * w.shape[1])
+    def back(g, x, weight, bias):
         g2 = g.reshape(-1, g.shape[-1])
-        _acc(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        _acc(x, (g2 @ w.T).reshape(x_shape))
         _acc(weight, x2.T @ g2)
         _acc(bias, g2.sum(axis=0))
-    return _node(y.reshape(lead + (weight.data.shape[1],)), (x, weight, bias), back)
+    return _node(y.reshape(x_shape[:-1] + (w.shape[1],)), (x, weight, bias), back)
 
 
 def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -438,8 +499,8 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     in both, so einsum's inner loop runs along channel rows. The backward
     contracts the same way: the upstream gradient, padded
     behind, against the taps flipped, for x; the upstream gradient against
-    windows of x, for the kernel. The node keeps no padded copy of x: the
-    backward builds the kernel gradient's windows again from x's data.
+    windows of x, for the kernel. The closure keeps no padded copy of x:
+    the backward builds the kernel gradient's windows again from x's data.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects [B, N, C], got {x.data.shape}")
@@ -450,13 +511,14 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     batch, n_seq, channels = x.data.shape
     width = weight.data.shape[1]
     taps = np.ascontiguousarray(weight.data.T)                    # [K, C]
-    windows = _token_windows(x.data, width, lead=width - 1)
+    x_data = x.data
+    windows = _token_windows(x_data, width, lead=width - 1)
     y = np.einsum("bnkc,kc->bnc", windows, taps)
     y += bias.data
     _add_macs(batch * channels * n_seq * width)
-    def back(g):
+    def back(g, x, weight, bias):
         _acc(x, np.einsum("bnkc,kc->bnc", _token_windows(g, width, lead=0), taps[::-1]))
-        x_windows = _token_windows(x.data, width, lead=width - 1)
+        x_windows = _token_windows(x_data, width, lead=width - 1)
         _acc(weight, np.einsum("bnc,bnkc->kc", g, x_windows).T)
         _acc(bias, g.sum(axis=(0, 1)))
     return _node(y, (x, weight, bias), back)
@@ -501,8 +563,8 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     builds the decays exp(delta_t * A^T) and the drives into [k, B, S, C]
     slabs, then runs the recurrence from the previous run's last state. The
     forward reads each run out with one stacked matmul
-    [k, B, 1, S] @ [k, B, S, C]. The node keeps delta, A^T and each run's
-    last state, [runs, B, S, C], never the states of every token. The
+    [k, B, 1, S] @ [k, B, S, C]. The closure keeps delta, A^T and each
+    run's last state, [runs, B, S, C], never the states of every token. The
     backward walks the runs in reverse. It rebuilds each run's decays and
     states from the kept run-end state, runs the reverse recurrence
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
@@ -512,9 +574,9 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     would form.
 
     Both passes read C-contiguous token-major [N, B, *] copies of delta, B
-    and C, and the backward one of the upstream gradient. The node keeps
+    and C, and the backward one of the upstream gradient. The closure keeps
     none of them. The backward writes in place only into its own copies and
-    buffers, never into an input's array or into what the node keeps. A's
+    buffers, never into an input's array or into what the closure keeps. A's
     gradient sums over the strided view of delta, whose order of summation
     the bits depend on.
 
@@ -537,10 +599,11 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
 
     inputs = (u, dt, A_log, B_ssm, C_ssm, D_skip)
     dtype = np.result_type(*(t.data for t in inputs))
+    u_data, dt_data, b_data, c_data, d_skip = (t.data for t in (u, dt, B_ssm, C_ssm, D_skip))
     a_t = -np.exp(np.ascontiguousarray(A_log.data.T))        # [S, C]
-    u_n = u.data.transpose(1, 0, 2)                          # [N, B, C] view
+    u_n = u_data.transpose(1, 0, 2)                          # [N, B, C] view
     delta_n, b_n, c_n = (np.ascontiguousarray(a.transpose(1, 0, 2))
-                         for a in (delta, B_ssm.data, C_ssm.data))
+                         for a in (delta, b_data, c_data))
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
@@ -572,10 +635,10 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
         np.matmul(c_n[lo:hi, :, None, :], h, out=y[lo:hi])
         ends[i] = h[-1]
     y = y[:, :, 0]
-    y += D_skip.data * u_n
+    y += d_skip * u_n
     _add_macs(2 * n_tokens * batch * state_dim * channels)
-    def back(g):
-        b_n, c_n = (np.ascontiguousarray(t.data.transpose(1, 0, 2)) for t in (B_ssm, C_ssm))
+    def back(g, u, dt, A_log, B_ssm, C_ssm, D_skip):
+        b_n, c_n = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (b_data, c_data))
         # written in place below, so copies even where B or N is 1
         delta_n, g_n = (np.array(a.transpose(1, 0, 2), order="C") for a in (delta, g))
         d_log = np.empty((n_tokens, batch, channels), dtype)
@@ -613,7 +676,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
             # u's gradient in the run's rows of the g copy, once read, and
             # delta's in d_log; the products go into delta's copy and dh_b
             g_run = g_n[lo:hi]
-            g_run *= D_skip.data
+            g_run *= d_skip
             g_run += np.multiply(delta_n[lo:hi], dh_b, out=delta_n[lo:hi])
             d_log[lo:hi] += np.multiply(u_n[lo:hi], dh_b, out=dh_b)
         # free the slabs, delta's copy and the loop's views of them before
@@ -621,13 +684,13 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
         del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab, dh_slab
         du = dec = h = dh = dh_b = log_grad = None
         # softplus' derivative is the sigmoid
-        np.multiply(d_log, _sigmoid(dt.data).transpose(1, 0, 2), out=d_log)
+        np.multiply(d_log, _sigmoid(dt_data).transpose(1, 0, 2), out=d_log)
         _acc(dt, d_log.transpose(1, 0, 2))
         _acc(A_log, (d_a * a_t).T)   # d exp(A_log) / d A_log = exp(A_log) = -A
         _acc(u, g_n.transpose(1, 0, 2))
         _acc(B_ssm, d_b[:, :, :, 0].transpose(1, 0, 2))
         _acc(C_ssm, d_c[:, :, :, 0].transpose(1, 0, 2))
-        _acc(D_skip, np.einsum("bnc,bnc->c", g, u.data))
+        _acc(D_skip, np.einsum("bnc,bnc->c", g, u_data))
     return _node(np.ascontiguousarray(y.transpose(1, 0, 2)), inputs, back)
 
 
@@ -701,29 +764,30 @@ def fuse_pool(x: Tensor) -> Tensor:
             f"fuse_pool expects [B, N, E] with N >= 1 and E a positive multiple of 4, "
             f"got {x.data.shape}"
         )
-    batch, n_rows, embed = x.data.shape
+    x_data = x.data
+    batch, n_rows, embed = x_data.shape
     quarter = embed // 4
-    average, padded = _row_windows(n_rows, quarter, x.data.dtype)
+    average, padded = _row_windows(n_rows, quarter, x_data.dtype)
     span = padded.shape[1]
 
-    rows = np.matmul(average, x.data)                                  # [B, E/4, E]
+    rows = np.matmul(average, x_data)                                  # [B, E/4, E]
     pooled = rows[..., 0::4] + rows[..., 1::4] + rows[..., 2::4] + rows[..., 3::4]
-    row_max = np.take(x.data, padded[:, 0], axis=1)                    # [B, E/4, E]
+    row_max = np.take(x_data, padded[:, 0], axis=1)                    # [B, E/4, E]
     for k in range(1, span):
-        np.maximum(row_max, np.take(x.data, padded[:, k], axis=1), out=row_max)
+        np.maximum(row_max, np.take(x_data, padded[:, k], axis=1), out=row_max)
     pooled += np.maximum(np.maximum(row_max[..., 0::4], row_max[..., 1::4]),
                          np.maximum(row_max[..., 2::4], row_max[..., 3::4]))
 
-    def back(g):
+    def back(g, x):
         # flat index into x of each block's first maximum: the first down
         # each column, then the first of the block's 4 column maxima. A
         # position only grows when argmax moves, so np.maximum records
         # it; a window's repeated last row never moves it.
         # positions in int32, which moves half the bytes of intp
-        best = np.take(x.data, padded[:, 0], axis=1)                  # [B, E/4, E]
+        best = np.take(x_data, padded[:, 0], axis=1)                  # [B, E/4, E]
         at = np.zeros(best.shape, np.int32)
         for k in range(1, span):
-            slab = np.take(x.data, padded[:, k], axis=1)
+            slab = np.take(x_data, padded[:, k], axis=1)
             np.maximum(at, _argmax_moves(slab, best) * np.int32(k), out=at)
             np.maximum(slab, best, out=best)
         col_best, pos = best[..., 0::4], at[..., 0::4].copy()        # pos = c * span + k
@@ -736,9 +800,9 @@ def fuse_pool(x: Tensor) -> Tensor:
         flat = ((np.arange(batch)[:, None, None] * n_rows + padded[win[:, None], k]) * embed
                 + 4 * win + col)
         gx = np.matmul(average.T, np.repeat(g, 4, axis=-1))
-        g_max = np.zeros(x.data.size, g.dtype)
+        g_max = np.zeros(x_data.size, g.dtype)
         np.add.at(g_max, flat.ravel(), g.ravel())
-        gx += g_max.reshape(x.data.shape)
+        gx += g_max.reshape(x_data.shape)
         _acc(x, gx)
     return _node(pooled, (x,), back)
 
@@ -747,39 +811,50 @@ def fuse_pool(x: Tensor) -> Tensor:
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.
+    """Reverse-mode sweep from a scalar loss; one sweep per graph.
 
-    Visits every reachable tape node exactly once, in reverse topological
-    order. Leaves (nodes without a backward closure) accumulate ``.grad``;
-    an interior node hands its ``.grad`` to its closure and drops it, so
-    spent gradients are freed during the sweep and a second sweep over the
-    same graph starts from clean interior nodes.
+    Visits every graph node reachable from the loss exactly once, in reverse
+    topological order. A leaf adds its gradient into ``.grad``. An interior
+    node is popped, hands its gradient to its closure, and is left without
+    gradient, closure or parent links, so what the closure saved is freed
+    once it has run. Raises GraphConsumedError, before any gradient
+    changes, if the graph reaches a node that an earlier sweep consumed.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss._graph_node()
+    if root is None:
+        return
+    topo: list = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if node is None or id(node) in seen:
             continue
+        if type(node) is _Node and node._backward is None:
+            raise GraphConsumedError(
+                "backward: the graph was already swept; one sweep per graph, "
+                "so run the forward again to take gradients again")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._prev:
             stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            g, node.grad = node.grad, None
-            node._backward(g)
+    root.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if type(node) is _Node:
+            g, back, inputs = node.grad, node._backward, node._prev
+            node.grad, node._backward, node._prev = None, None, ()
+            back(g, *inputs)
 
 
 def gradients(loss: Tensor, params: Iterable[Tensor]) -> list:
-    """Gradient of a scalar loss for each parameter, in order.
+    """Gradient of a scalar loss for each parameter, in order, by one
+    ``backward`` sweep, which consumes the loss's graph.
 
     Clears stale grads first; parameters unreachable from the loss get a
     zero gradient of their shape.

@@ -17,7 +17,7 @@ from attention_mamba.tensor_core import Tensor, _acc, _node, _sigmoid, gradients
 def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Join tensors along one axis; the per-token tape scan oracle needs it."""
     sizes = [t.data.shape[axis] for t in tensors]
-    def back(g):
+    def back(g, *tensors):
         start = 0
         for t, size in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
@@ -30,7 +30,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     """Elementwise exp; the node keeps its output, which is its derivative."""
     y = np.exp(x.data)
-    def back(g):
+    def back(g, x):
         _acc(x, g * y)
     return _node(y, (x,), back)
 
@@ -39,9 +39,10 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)) in the operations, and the order, that
     ``selective_scan`` forms its step size in; the gradient is
     ``_sigmoid``'s."""
-    def back(g):
-        _acc(x, g * _sigmoid(x.data))
-    return _node(np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data))), (x,), back)
+    data = x.data
+    def back(g, x):
+        _acc(x, g * _sigmoid(data))
+    return _node(np.maximum(data, 0) + np.log1p(np.exp(-np.abs(data))), (x,), back)
 
 
 def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -49,17 +50,18 @@ def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     loop over the K taps, forward and backward: the oracle for the windowed
     ``conv1d_depthwise_causal``."""
     n_seq = x.data.shape[1]
-    width = weight.data.shape[1]
+    w = weight.data
+    width = w.shape[1]
     xp = np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0)))
     y = np.zeros_like(x.data)
     for k in range(width):
-        y += weight.data[:, k] * xp[:, k:k + n_seq]
+        y += w[:, k] * xp[:, k:k + n_seq]
     y += bias.data
-    def back(g):
+    def back(g, x, weight, bias):
         gxp = np.zeros_like(xp)
-        gw = np.empty_like(weight.data)
+        gw = np.empty_like(w)
         for k in range(width):
-            gxp[:, k:k + n_seq] += weight.data[:, k] * g
+            gxp[:, k:k + n_seq] += w[:, k] * g
             gw[:, k] = np.einsum("bnc,bnc->c", g, xp[:, k:k + n_seq])
         _acc(x, gxp[:, width - 1:])
         _acc(weight, gw)
@@ -70,7 +72,7 @@ def conv1d_per_tap(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def kept_bytes(fn) -> int:
     """Bytes that fn() allocates and still holds when it returns, its result
     alive: the tracemalloc growth across the call. For a taped forward that
-    is its output plus what the node keeps for the backward."""
+    is its output plus what its closure keeps for the backward."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

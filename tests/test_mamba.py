@@ -61,11 +61,11 @@ def tape_scan_oracle(u, dt, A_log, B_ssm, C_ssm, D_skip):
 
 
 def tape_nodes(out):
-    """Operation nodes reachable from out through the tape's parent links."""
-    seen, stack = set(), [out]
+    """Graph nodes reachable from out's node through the parent links."""
+    seen, stack = set(), [out._node]
     while stack:
         node = stack.pop()
-        if id(node) not in seen and node._prev:
+        if node is not None and id(node) not in seen and node._prev:
             seen.add(id(node))
             stack.extend(node._prev)
     return len(seen)
@@ -241,15 +241,22 @@ class TestFusedScanOracle:
                     assert err < 1e-9, f"run {run}, {dims}, input {idx}: rel err {err}"
 
     def test_two_sweeps_over_one_graph_give_the_same_gradients(self, monkeypatch):
-        # the backward reads the forward's run-end states; it must not write them
+        # the backward reads the forward's run-end states; it must not write
+        # them. A sweep consumes its graph, so the scan node's closure is run
+        # twice by hand, on the same upstream gradient, before any sweep.
         monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 3 * (3 * 4 * 2))   # 5 runs
         rng = np.random.default_rng(14)
         arrays = random_scan_inputs(rng, batch=3, channels=4, n=13, state=2)
-        probe = Tensor(rng.standard_normal(arrays[0].shape))
+        g = rng.standard_normal(arrays[0].shape)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        loss = (selective_scan(*leaves) * probe).sum()
-        first, second = gradients(loss, leaves), gradients(loss, leaves)
-        for idx, (a, b) in enumerate(zip(first, second)):
+        node = selective_scan(*leaves)._node
+        sweeps = []
+        for _ in range(2):
+            for leaf in leaves:
+                leaf.grad = None
+            node._backward(g, *node._prev)
+            sweeps.append([leaf.grad for leaf in leaves])
+        for idx, (a, b) in enumerate(zip(*sweeps)):
             assert a.tobytes() == b.tobytes(), f"input {idx}"
 
     def test_node_keeps_run_end_states_not_every_state(self, monkeypatch):
@@ -310,7 +317,8 @@ class TestFusedScanOracle:
             leaves = [Tensor(a, requires_grad=True)
                       for a in random_scan_inputs(RNG, batch=2, n=n)]
             out = selective_scan(*leaves)
-            assert out._prev == tuple(leaves)
+            # leaves are their own graph nodes
+            assert out._node._prev == tuple(leaves)
 
 
 class TestScanOperandLayout:
@@ -337,8 +345,10 @@ class TestScanOperandLayout:
             inputs = [Tensor(u, requires_grad=True), Tensor(dt, requires_grad=True),
                       Tensor(a_log, requires_grad=True), b_t, c_t, Tensor(d, requires_grad=True)]
             out = selective_scan(*inputs)
-            out._backward(g)
-            results.append([out.data] + [t.grad for t in inputs])
+            node = out._node
+            node._backward(g, *node._prev)
+            # a slice's gradient is held by its graph node, a leaf's by the leaf
+            results.append([out.data] + [p.grad for p in node._prev])
             for name, a, kept in zip(("u", "dt", "g"), (u, dt, g), before):
                 assert a.tobytes() == kept.tobytes(), f"the backward wrote into the caller's {name}"
         for idx, (got, want) in enumerate(zip(*results)):
@@ -445,17 +455,16 @@ class TestBidirectional:
     @pytest.mark.parametrize("n_tokens", [7, 21])
     def test_every_output_token_sees_every_input_token(self, n_tokens):
         # float64 gradients: a structurally unreachable input token gets an
-        # exact zero, and every reachable one a non-zero gradient. All output
-        # tokens share one forward graph: each sweep leaves its interior
-        # nodes without gradients, so the next one starts clean.
+        # exact zero, and every reachable one a non-zero gradient. A sweep
+        # consumes its graph, so each output token gets its own forward.
         p_fwd = tiny_params(8, n_tokens, seed=1)
         p_bwd = tiny_params(8, n_tokens, seed=2)
         x = Tensor(np.random.default_rng(5).standard_normal((1, n_tokens, 8)), requires_grad=True)
         probe = np.random.default_rng(6).standard_normal(x.data.shape)
-        out = bidirectional_mamba(x, p_fwd, p_bwd)
         for i in range(n_tokens):
             mask = np.zeros_like(probe)
             mask[:, i, :] = probe[:, i, :]
+            out = bidirectional_mamba(x, p_fwd, p_bwd)
             (grad,) = gradients((out * Tensor(mask)).sum(), [x])
             seen = np.abs(grad[0]).max(axis=1) > 0
             assert seen.all(), f"output token {i} misses input tokens {np.flatnonzero(~seen)}"

@@ -32,6 +32,23 @@ def tiny_model(seed=0, config=TINY):
     return AttentionMambaModel(config, np.random.default_rng(seed))
 
 
+def tensors_in_closure(fn, path=""):
+    """Where a function's closure cells hold a Tensor, looking into nested
+    functions, tuples and lists, as a list of cell paths."""
+    found = []
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        stack = [(f"{path}{name}", cell.cell_contents)]
+        while stack:
+            where, value = stack.pop()
+            if isinstance(value, Tensor):
+                found.append(where)
+            elif isinstance(value, (tuple, list)):
+                stack += [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+            elif callable(value) and getattr(value, "__closure__", None):
+                found += tensors_in_closure(value, f"{where}.")
+    return found
+
+
 class TestConfig:
     def test_embed_dim_must_be_multiple_of_4(self):
         with pytest.raises(ConfigError, match="multiple of 4"):
@@ -160,7 +177,7 @@ class TestForward:
         with no_grad():
             quiet = model.forward(x)[0]
         taped = model.forward(x)[0]
-        assert taped.requires_grad and not quiet.requires_grad and quiet._prev == ()
+        assert taped.requires_grad and not quiet.requires_grad and quiet._node is None
         assert quiet.data.dtype == model.config.dtype
         assert np.array_equal(quiet.data, taped.data)
 
@@ -176,6 +193,26 @@ class TestForward:
         want = double.forward(x.astype(np.float64))[0].data
         assert got.dtype == np.float32
         assert rel_error(got, want) < 1e-6
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        # a Tensor in a closure would keep its array alive until the sweep
+        # reaches that node, whether or not the backward reads it
+        model = tiny_model(config=replace(TINY, n_variates=7))
+        rng = np.random.default_rng(3)
+        yhat, _ = model.forward(rng.standard_normal((2, 8, 7)))
+        diff = yhat - Tensor(rng.standard_normal((2, 4, 7)))
+        loss = (diff * diff).mean()
+        seen, stack, held = set(), [loss._node], []
+        while stack:
+            node = stack.pop()
+            if node is None or isinstance(node, Tensor) or id(node) in seen:
+                continue
+            seen.add(id(node))
+            held += [f"{node._backward.__qualname__}: {path}"
+                     for path in tensors_in_closure(node._backward)]
+            stack.extend(node._prev)
+        assert len(seen) > 50
+        assert not held, "backward closures hold tensors:\n" + "\n".join(held)
 
     def test_training_graph_leaves_no_reference_cycles(self):
         # A node whose backward refers to the node itself is a cycle; it keeps
@@ -354,12 +391,25 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
-        path = tmp_path / "bad.ckpt"
-        b = np.ones(4)
-        b[2] = bad
-        save_checkpoint(path, TINY, SMALL_TENSORS | {"b": b})
+        # save_checkpoint refuses to write one, so the value goes into the
+        # bytes of b[2]: the 4 bytes before b's last element, the file's last
+        path = self.small_checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:-4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="tensor 'b' holds a non-finite value"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf], ids=["past_max", "past_min", "nan", "inf"])
+    def test_save_refuses_a_tensor_not_finite_as_float32(self, tmp_path, bad):
+        # a float64 value past float32's range casts to inf, which the loader
+        # refuses; the save raises first and leaves no file
+        model = tiny_model()
+        model.head.bias.data[0] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match="tensor 'head.bias' is not finite as float32"):
+            save_model(path, model)
+        assert not path.exists()
 
     def test_file_cut_short_anywhere_rejected(self, tmp_path):
         blob = self.small_checkpoint(tmp_path).read_bytes()

@@ -1,11 +1,13 @@
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from attention_mamba.tensor_core import (
+    GraphConsumedError,
     MacCounter,
     ShapeError,
     Tensor,
@@ -127,27 +129,57 @@ class TestBackward:
         assert x.grad.dtype == dtype
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
-    def test_gradients_twice_on_one_graph_agree(self):
+    def test_gradients_on_two_graphs_of_one_loss_agree(self):
+        # one sweep per graph: the loss is built again for the second sweep
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = (x * x).sum()
-        np.testing.assert_array_equal(gradients(loss, [x])[0], [2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(gradients(loss, [x])[0], [2.0, 2.0, 2.0])
+        for _ in range(2):
+            np.testing.assert_array_equal(gradients((x * x).sum(), [x])[0], [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("sweep", [backward, lambda loss: gradients(loss, [])],
+                             ids=["backward", "gradients"])
+    def test_second_sweep_over_one_graph_raises(self, sweep):
+        x = Tensor(rand(4, 3), requires_grad=True)
+        w = Tensor(rand(3, 2), requires_grad=True)
+        hidden = matmul(x, w).gelu()
+        sweep((hidden * hidden).sum())
+        first = x.grad.copy()
+        with pytest.raises(GraphConsumedError, match="one sweep per graph"):
+            sweep(hidden.sum())               # reaches the swept nodes under `hidden`
+        with pytest.raises(GraphConsumedError, match="one sweep per graph"):
+            sweep((hidden * hidden).sum())
+        # the refused sweeps changed no gradient
+        assert x.grad.tobytes() == first.tobytes()
 
     def test_interior_nodes_release_their_gradients(self):
+        # each node is walked before the sweep, which then leaves it without
+        # gradient, closure or parent links; only the leaves keep a gradient
         x = Tensor(rand(4, 3), requires_grad=True)
         w = Tensor(rand(3, 2), requires_grad=True)
         loss = softmax_last(matmul(x, w).gelu()).sum() * 0.5
-        gradients(loss, [x, w])
-        seen, stack, interior = set(), [loss], []
+        seen, stack, interior = set(), [loss._node], []
         while stack:
             node = stack.pop()
-            if id(node) not in seen and node._prev:
+            if node is not None and id(node) not in seen and node._prev:
                 seen.add(id(node))
                 interior.append(node)
                 stack.extend(node._prev)
+        gradients(loss, [x, w])
         assert len(interior) == 5
-        assert all(node.grad is None for node in interior)
+        assert all(node.grad is None and node._backward is None and node._prev == ()
+                   for node in interior)
         assert x.grad is not None and w.grad is not None
+
+    def test_an_output_no_backward_reads_dies_with_its_frame(self):
+        # the add and the sum read nothing, so the product's array is held
+        # by the name alone, not by the graph
+        x = Tensor(rand(4, 3), requires_grad=True)
+        product = x * Tensor(rand(4, 3))
+        loss = (product + 1.0).sum()
+        array = weakref.ref(product.data)
+        del product
+        assert array() is None
+        backward(loss)
+        assert x.grad is not None
 
     def test_unreachable_parameter_gets_zero_gradient(self):
         x = Tensor(rand(2), requires_grad=True)
@@ -222,14 +254,14 @@ def test_primitives_record_no_tape_under_no_grad(name, op, make):
     leaves = [Tensor(a, requires_grad=True) for a in make()]
     with no_grad():
         out = op(*leaves)
-    assert not out.requires_grad and out._prev == () and out._backward is None
+    assert not out.requires_grad and out._node is None
     np.testing.assert_array_equal(out.data, op(*leaves).data)
 
 
 @pytest.mark.parametrize("name,op,make", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
 def test_primitives_record_no_tape_on_constants(name, op, make):
     out = op(*[Tensor(a) for a in make()])
-    assert not out.requires_grad and out._prev == () and out._backward is None
+    assert not out.requires_grad and out._node is None
 
 
 # Every op with more than one input, a broadcast operand where the op
@@ -272,7 +304,7 @@ class TestNoGrad:
         arrays = [rand(2, 5, 3), rand(2, 5, 3), rand(3, 4), rand(2, 5, 4), rand(2, 5, 4), rand(3)]
         with no_grad():
             out = selective_scan(*[Tensor(a, requires_grad=True) for a in arrays])
-        assert not out.requires_grad and out._prev == () and out._backward is None
+        assert not out.requires_grad and out._node is None
 
     def test_nests_and_restores_after_an_error(self):
         x = Tensor(rand(3), requires_grad=True)
