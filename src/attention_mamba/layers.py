@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import ShapeError, Tensor, affine
+from .tensor_core import Tensor, affine
 
 REVIN_EPS = 1e-5
 
@@ -60,10 +60,6 @@ class RevIN:
 
     def normalize(self, x: Tensor) -> tuple[Tensor, RevInState]:
         """x is [B, L, N] with L >= 2; returns (normalized, state)."""
-        if x.data.ndim != 3:
-            raise ShapeError(f"normalize expects [B, L, N], got {x.data.shape}")
-        if x.data.shape[1] < 2:
-            raise ShapeError(f"lookback length must be >= 2, got {x.data.shape[1]}")
         mu = x.mean(axis=1)
         centered = x - mu
         sigma = ((centered * centered).mean(axis=1) + REVIN_EPS).sqrt()
@@ -72,9 +68,4 @@ class RevIN:
 
     def denormalize(self, y: Tensor, state: RevInState) -> Tensor:
         """Invert the affine, then restore mu/sigma; y is [B, T, N]."""
-        if y.data.ndim != 3 or y.data.shape[0] != state.mu.data.shape[0] \
-                or y.data.shape[2] != state.mu.data.shape[2]:
-            raise ShapeError(
-                f"denormalize input {y.data.shape} does not match state {state.mu.data.shape}"
-            )
         return (y - self.beta) / self.gamma * state.sigma + state.mu

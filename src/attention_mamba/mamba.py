@@ -3,8 +3,7 @@
 The bidirectional value is mamba(x) + reverse(mamba(reverse(x))): the
 reversed scan's output is flipped back, so every output token sees every
 input token. Tokens are variates; a form that left some unseen would let a
-variate's column position decide what it can mix in. PAPER.md holds only
-the abstract, so the paper's own equation cannot be checked here.
+variate's column position decide what it can mix in.
 
 One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
@@ -32,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import (
-    ShapeError,
-    Tensor,
-    conv1d_depthwise_causal,
-    reverse,
-    selective_scan,
-    slice_axis,
-)
+from .tensor_core import Tensor, conv1d_depthwise_causal, reverse, selective_scan, slice_axis
 
 DT_INIT_MIN = 1e-3
 DT_INIT_MAX = 1e-1
@@ -118,8 +110,6 @@ class MambaParams:
 
 def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     """One scan direction over x [B, N, E]; output has the same shape."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"mamba expects [B, N, E], got {x.data.shape}")
     channels = p.channels
     dt_rank = p.dt_rank
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import ShapeError, Tensor, fuse_pool, matmul, softmax_last
+from .tensor_core import Tensor, fuse_pool, matmul, softmax_last
 
 
 @dataclass
@@ -58,8 +58,6 @@ class PooledAttentionParams:
 
 def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> Tensor:
     """Compute the [B, N, E] attention weights."""
-    if x_embed.data.ndim != 3:
-        raise ShapeError(f"attention expects [B, N, E], got {x_embed.data.shape}")
     q = linear(x_embed, params.q_proj)
     k = linear(x_embed, params.k_proj)
     fused_q = fuse_pool(q)

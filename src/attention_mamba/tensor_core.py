@@ -62,21 +62,15 @@ SiLU and the scan's dt gradient take the sigmoid from numpy's vectorised
 exp, not from scipy's scalar-loop ``expit``.
 
 What a closure keeps is what its backward reads; an array the backward can
-rebuild cheaply from the kept ones is rebuilt rather than kept. ``+``,
-``-``, ``reverse``, the transposes and the reductions keep only shapes, and
-``slice_axis`` its index and its input's shape; ``*`` and ``/`` keep both
-operands, matmul both factors. ``affine`` keeps the weight and x as a 2-D
-matrix, a view unless x is strided. ``sqrt`` and ``softmax_last`` keep
-their outputs, ``gelu`` x and its normal cdf, and ``silu`` x alone: its
-backward computes the sigmoid again. The causal convolution keeps x and
-its [K, C] taps; its backward rebuilds the padded window view of x for the
-kernel gradient. The selective scan keeps the arrays of u, dt, B, C and D,
-delta, A^T and its [runs, B, S, C] run-end states; its backward rebuilds
-each run's delta * u, decays and states, and its token-major copies of
-delta, B, C and the upstream gradient. ``fuse_pool`` keeps x and the cached
-pooling maps; its backward finds the argmax from x. Each rebuild repeats
-the forward's operations on the same operands, so no bit of any gradient
-changes.
+rebuild cheaply from the kept ones is rebuilt rather than kept, by the
+forward's operations on the same operands, so no bit of any gradient
+changes. ``+``, ``-``, ``reverse``, the transposes and the reductions keep
+only shapes, and ``slice_axis`` its index and its input's shape; ``*`` and
+``/`` keep both operands, matmul both factors. ``affine`` keeps the weight
+and x as a 2-D matrix, a view unless x is strided. ``sqrt`` and
+``softmax_last`` keep their outputs, ``gelu`` x and its normal cdf. The
+docstrings of ``silu``, the causal convolution, the selective scan and
+``fuse_pool`` say what each keeps and rebuilds.
 """
 
 from __future__ import annotations
@@ -223,8 +217,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() requires a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
     # -- arithmetic ---------------------------------------------------------
@@ -242,17 +234,10 @@ class Tensor:
         return _binary(self, other, np.true_divide,
                        lambda a, b: (lambda g: g / b, lambda g: -g * a / (b * b)))
 
-    def __neg__(self):
-        def back(g, x):
-            _acc(x, -g)
-        return _node(-self.data, (self,), back)
-
     # -- shape ops ----------------------------------------------------------
 
     def transpose_last2(self) -> "Tensor":
         """Swap the two trailing axes; materializes a contiguous copy."""
-        if self.data.ndim < 2:
-            raise ShapeError(f"transpose_last2 needs ndim >= 2, got shape {self.data.shape}")
         def back(g, x):
             _acc(x, np.ascontiguousarray(g.swapaxes(-1, -2)))
         return _node(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,), back)
@@ -428,9 +413,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     The backward adds g into that slice of the parent's gradient, through
     ``_acc``'s index (a zero gradient is made first if the parent has
     none), instead of building a full-size gradient that is zero outside
-    the slice. The slice's entries get the same bits as before. Entries
-    outside it are left as they are, so a -0.0 there stays -0.0, where
-    adding a zero made it +0.0.
+    the slice. Entries outside the slice keep their bits: a -0.0 there
+    stays -0.0.
     """
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
@@ -502,13 +486,11 @@ def conv1d_depthwise_causal(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     windows of x, for the kernel. The closure keeps no padded copy of x:
     the backward builds the kernel gradient's windows again from x's data.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv1d expects [B, N, C], got {x.data.shape}")
-    if weight.data.shape[0] != x.data.shape[2]:
+    batch, n_seq, channels = x.data.shape
+    if weight.data.shape[0] != channels:
         raise ShapeError(
             f"conv1d channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}"
         )
-    batch, n_seq, channels = x.data.shape
     width = weight.data.shape[1]
     taps = np.ascontiguousarray(weight.data.T)                    # [K, C]
     x_data = x.data
@@ -554,19 +536,21 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     states h_t of shape [B, S, C]:
         h_t = exp(delta_t * A^T) * h_{t-1} + (delta_t * u_t) * B_t^T
         y_t = C_t @ h_t + D * u_t
-    Raises ShapeError on mismatched shapes, and NonPositiveStepError where
-    softplus(dt) is not a positive number: NaN, or 0 where it underflows, at
-    dt at or below about -104 in float32, or -745 in float64.
+    Raises ShapeError when dt is not u's shape or B_ssm, C_ssm are not
+    [B, N, S], and NonPositiveStepError where softplus(dt) is not a
+    positive number: NaN, or 0 where it underflows, at dt at or below about
+    -104 in float32, or -745 in float64.
 
     The states are channels-last, [B, S, C] a token, and are built in runs
     of tokens small enough to stay in cache. For each run, one helper
     builds the decays exp(delta_t * A^T) and the drives into [k, B, S, C]
     slabs, then runs the recurrence from the previous run's last state. The
     forward reads each run out with one stacked matmul
-    [k, B, 1, S] @ [k, B, S, C]. The closure keeps delta, A^T and each
-    run's last state, [runs, B, S, C], never the states of every token. The
-    backward walks the runs in reverse. It rebuilds each run's decays and
-    states from the kept run-end state, runs the reverse recurrence
+    [k, B, 1, S] @ [k, B, S, C]. The closure keeps the arrays of u, dt, B,
+    C and D, delta, A^T and each run's last state, [runs, B, S, C], never
+    the states of every token. The backward walks the runs in reverse. It
+    rebuilds each run's decays and states from the kept run-end state, runs
+    the reverse recurrence
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
     and reads the gradients off dh and h in closed form. dt gets
     d_delta * sigmoid(dt), the sigmoid by ``_sigmoid``, and A_log gets
@@ -700,8 +684,6 @@ def pool_window_bounds(in_size: int, out_size: int) -> list:
     Well defined for any out_size >= 1; when out_size > in_size the windows
     overlap and replicate (every window still has width >= 1).
     """
-    if out_size < 1:
-        raise ShapeError(f"pooling target must be >= 1, got {out_size}")
     return [
         (i * in_size // out_size, -((i + 1) * in_size // -out_size))
         for i in range(out_size)

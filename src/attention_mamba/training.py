@@ -119,7 +119,7 @@ def _restore(model: AttentionMambaModel, snapshot: dict) -> None:
 
 
 def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
-                     batch_size: int = 64) -> tuple[float, float]:
+                     batch_size: int) -> tuple[float, float]:
     """Forward-only metrics over windows stacked one batch at a time, in scaled space.
 
     Errors are taken in float64 from the model-dtype predictions and summed
@@ -148,8 +148,10 @@ def _train_step(model: AttentionMambaModel, named, opt: AdamState,
                 x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     """One clipped Adam step on the MSE of batch (x, y); returns the loss and
     its element count. The step's graph is held by this frame alone, so it
-    is freed on return, before the next step's forward builds another."""
-    yhat, _ = model.forward(x)
+    is freed on return, before the next step's forward builds another. The
+    forward's trace is dropped at once, so the fusion's arrays die as the
+    sweep consumes the nodes that read them."""
+    yhat = model.forward(x)[0]
     diff = yhat - Tensor(y)
     loss = (diff * diff).mean()
     loss_val = loss.item()

@@ -1,5 +1,5 @@
 """Shared test oracles: central finite differences, gradient checks; the
-tape ops that no model path runs: ``concatenate``, ``exp`` and
+tape ops that no model path runs: ``concatenate``, ``neg``, ``exp`` and
 ``softplus``, which the per-token scan oracle needs; ``conv1d_per_tap``,
 the causal convolution written one tap at a time; and ``kept_bytes``, what
 a forward leaves allocated."""
@@ -25,6 +25,13 @@ def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
             _acc(t, g[tuple(sl)])
             start += size
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+
+
+def neg(x: Tensor) -> Tensor:
+    """Elementwise negation."""
+    def back(g, x):
+        _acc(x, -g)
+    return _node(-x.data, (x,), back)
 
 
 def exp(x: Tensor) -> Tensor:

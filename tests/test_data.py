@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,7 @@ ODD_CSVS = {
                             ([[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]], ["0", "1", "OT"])),
     "bad_cell_in_first_row": ("1.0,abc\n2.0,3.0\n",
                               (NonNumericCellError, "non-numeric cell 'abc' at row 1, column 2")),
+    "header_only": ("a,b\n", (EmptyFileError, "header only, no data rows")),
 }
 
 
@@ -244,6 +247,10 @@ class TestSplits:
         with pytest.raises(DataError, match="need at least lookback\\+horizon=6"):
             split_series(series, 4, 2)
 
+    def test_unknown_split_rejected(self):
+        with pytest.raises(ValueError, match="unknown split 'validation'"):
+            self.make().range_of("validation")
+
 
 class TestScaler:
     def test_constant_variate_scales_to_zero(self):
@@ -278,6 +285,12 @@ class TestScaler:
         ds2 = fit_apply_scaler(split_series(RawSeries(values=mutated, names=["a", "b"]), 4, 2))
         np.testing.assert_array_equal(ds1.scaler.mean, ds2.scaler.mean)
         np.testing.assert_array_equal(ds1.scaler.std, ds2.scaler.std)
+
+    def test_empty_train_range_rejected(self):
+        series = RawSeries(values=RNG.standard_normal((30, 2)), names=["a", "b"])
+        ds = replace(split_series(series, 4, 2), train_range=(5, 5))
+        with pytest.raises(DataError, match="train range is empty"):
+            fit_apply_scaler(ds)
 
 
 class TestSynthetic:

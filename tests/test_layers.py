@@ -66,11 +66,6 @@ class TestRevInNormalize:
         assert np.abs(out.data.mean(axis=1)).max() < 1e-6
         np.testing.assert_allclose(out.data.std(axis=1), 1.0, atol=1e-4)
 
-    def test_short_lookback_rejected(self):
-        revin = RevIN(2)
-        with pytest.raises(ShapeError):
-            revin.normalize(Tensor(np.zeros((1, 1, 2))))
-
 
 class TestRevInRoundTrip:
     def test_identity_affine_round_trip(self):

@@ -6,7 +6,7 @@ import pytest
 from attention_mamba import mamba, tensor_core
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
-from helpers import concatenate, exp, kept_bytes, numerical_grad, rel_error, softplus
+from helpers import concatenate, exp, kept_bytes, neg, numerical_grad, rel_error, softplus
 
 RNG = np.random.default_rng(31)
 
@@ -57,7 +57,7 @@ def tape_scan_oracle(u, dt, A_log, B_ssm, C_ssm, D_skip):
     """The per-token tape scan on the delta and A that the fused scan forms
     from dt and A_log, by tape ops of the same operations, so the forward
     matches bit for bit and gradients reach dt and A_log."""
-    return tape_scan_reference(u, softplus(dt), -exp(A_log), B_ssm, C_ssm, D_skip)
+    return tape_scan_reference(u, softplus(dt), neg(exp(A_log)), B_ssm, C_ssm, D_skip)
 
 
 def tape_nodes(out):
@@ -146,6 +146,14 @@ class TestSelectiveScan:
         u_cm, dt_cm = u.swapaxes(1, 2), dt.swapaxes(1, 2)   # [B, C, N]
         with pytest.raises(ShapeError):
             selective_scan(Tensor(u_cm), Tensor(dt_cm), Tensor(a_log), Tensor(b), Tensor(c), Tensor(d))
+
+    @pytest.mark.parametrize("dt_shape", [(1, 6, 1), (1, 1, 3)], ids=["one_channel", "one_token"])
+    def test_dt_shape_must_match_u(self, dt_shape):
+        # a dt that broadcasts against u is refused, not spread over it
+        u, dt, a_log, b, c, d = random_scan_inputs(np.random.default_rng(0), channels=3, n=6)
+        with pytest.raises(ShapeError, match=r"dt shape \(1, \d, \d\) must match u \(1, 6, 3\)"):
+            selective_scan(Tensor(u), Tensor(dt[:, :dt_shape[1], :dt_shape[2]]), Tensor(a_log),
+                           Tensor(b), Tensor(c), Tensor(d))
 
     def test_nonpositive_delta_rejected(self):
         # softplus(-1000) is 0.0 in float64

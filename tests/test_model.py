@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_variates=3, lookback=8, horizon=-1, embed_dim=8)
 
+    def test_lookback_one_rejected(self):
+        # RevIN takes its statistics over the lookback, so one step is too few
+        with pytest.raises(ConfigError, match="lookback must be >= 2"):
+            ModelConfig(n_variates=3, lookback=1, horizon=4, embed_dim=8)
+
     def test_precision_validated(self):
         with pytest.raises(ConfigError):
             ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, precision="16")

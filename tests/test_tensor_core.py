@@ -27,7 +27,7 @@ from attention_mamba.tensor_core import (
     _row_windows,
     _sigmoid,
 )
-from helpers import concatenate, conv1d_per_tap, exp, gradcheck, kept_bytes, rel_error, softplus
+from helpers import concatenate, conv1d_per_tap, exp, gradcheck, kept_bytes, neg, rel_error, softplus
 
 RNG = np.random.default_rng(7)
 
@@ -187,6 +187,15 @@ class TestBackward:
         grads = gradients(x.sum(), [x, unused])
         np.testing.assert_array_equal(grads[1], np.zeros(3))
 
+    def test_loss_that_reaches_no_leaf_gives_zero_gradients(self):
+        p = Tensor(rand(2), requires_grad=True)
+        with no_grad():
+            untaped = (p * p).sum()
+        for loss in ((Tensor(rand(3)) * 2.0).sum(), untaped):
+            assert loss._graph_node() is None
+            np.testing.assert_array_equal(gradients(loss, [p])[0], np.zeros(2))
+            assert p.grad is None
+
 
 def avg_half(a):
     """fuse_pool with every block's maximum pinned to a constant 3 that a
@@ -197,9 +206,9 @@ def avg_half(a):
 
 
 def max_half(a):
-    """fuse_pool(a) + fuse_pool(-a): the average halves cancel, leaving each
+    """fuse_pool(a) + fuse_pool(neg(a)): the average halves cancel, leaving each
     block's max minus its min, so only the max routing reaches a."""
-    return fuse_pool(a) + fuse_pool(-a)
+    return fuse_pool(a) + fuse_pool(neg(a))
 
 
 # Every differentiable primitive, checked against central finite differences
@@ -211,7 +220,7 @@ PRIMITIVE_CASES = [
     ("mul", lambda a, b: a * b, lambda: [rand(3, 4), rand(3, 4)]),
     ("mul_broadcast", lambda a, b: a * b, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
     ("div", lambda a, b: a / b, lambda: [rand(3, 4), rand(3, 4, lo=0.5, hi=2.0)]),
-    ("neg", lambda a: -a, lambda: [rand(3, 4)]),
+    ("neg", neg, lambda: [rand(3, 4)]),
     ("scalar_ops", lambda a: a * 1.5 + 0.25, lambda: [rand(3, 4)]),
     ("matmul", matmul, lambda: [rand(2, 3, 4), rand(2, 4, 5)]),
     ("transpose_last2", lambda a: a.transpose_last2(), lambda: [rand(2, 3, 4)]),
@@ -472,6 +481,11 @@ class TestInvariants:
         assert not np.any((x.grad != 0) & (np.abs(x.grad) < tiny))
         np.testing.assert_array_equal(x.grad[normal], unflushed[normal])
         assert not np.any(x.grad[~normal])
+
+    def test_integer_data_becomes_float64(self):
+        x = Tensor(np.arange(6, dtype=np.int32).reshape(2, 3))
+        assert x.data.dtype == np.float64
+        np.testing.assert_array_equal(x.data, [[0, 1, 2], [3, 4, 5]])
 
     def test_element_count_matches_shape(self):
         x = Tensor(rand(3, 4, 5))

@@ -1,12 +1,15 @@
+import logging
 import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from attention_mamba import training
 
-from attention_mamba.data import RawSeries, SyntheticSpec, fit_apply_scaler, generate_synthetic, split_series
+from attention_mamba.data import DataError, RawSeries, SyntheticSpec, fit_apply_scaler, generate_synthetic, split_series
 from attention_mamba.model import AttentionMambaModel, ConfigError, ModelConfig
 from attention_mamba.tensor_core import Tensor, gradients
 from attention_mamba.training import (
@@ -161,6 +164,45 @@ class TestTrain:
         assert len(ds.windows("train")) == 53 and len(ds.windows("val")) == 35
         assert run <= 1.25 * step
 
+    def test_step_drops_the_forward_trace_before_the_sweep(self, monkeypatch):
+        # the fusion's arrays then die as the sweep consumes the nodes that read them
+        model = tiny_model()
+        traces, alive = [], []
+        forward = model.forward
+
+        def recording_forward(x):
+            out = forward(x)
+            traces.append(weakref.ref(out[1]))
+            return out
+
+        def checking_gradients(loss, params):
+            alive.append(traces[-1]() is not None)
+            return gradients(loss, params)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(training, "gradients", checking_gradients)
+        train(model, tiny_dataset(), TrainRunConfig(epochs=1, batch_size=16))
+        assert alive == [False] * 3
+
+    def test_series_without_a_training_window_rejected(self):
+        # 12 steps: the train range (0, 8) is shorter than lookback + horizon
+        ds = tiny_dataset(total=12)
+        with pytest.raises(DataError, match="no training windows"):
+            train(tiny_model(), ds, TrainRunConfig(epochs=1))
+
+    def test_no_validation_window_stops_early_on_train_loss(self, monkeypatch, caplog):
+        # a frozen model on one training window: every epoch's loss is the
+        # same, so the train loss stops improving after the first epoch
+        ds = replace(tiny_dataset(total=18), val_range=(12, 12))
+        assert len(ds.windows("train")) == 1 and not ds.windows("val")
+        monkeypatch.setattr(training, "adam_step", lambda *args: None)
+        with caplog.at_level(logging.INFO, logger=training.__name__):
+            result = train(tiny_model(), ds, TrainRunConfig(epochs=40))
+        assert "no validation windows; using train loss" in caplog.text
+        assert result.stopped_early and not result.diverged
+        assert len(result.curve) == training.PATIENCE + 1 and result.best_epoch == 0
+        assert all(val == train_mse == result.best_val for _, train_mse, val in result.curve)
+
     def test_zero_epoch_memory_is_bounded_by_the_series(self):
         ds, model = wide_dataset_and_model()
         peak = traced_peak(lambda: train(model, ds, TrainRunConfig(epochs=0)))
@@ -240,17 +282,28 @@ class TestTrain:
         for (name, t), (_, ref) in zip(model.named_parameters(), good.named_parameters()):
             np.testing.assert_array_equal(t.data, ref.data, err_msg=name)
 
-    def test_underflowed_step_size_rolls_back(self):
-        # the scan's step size softplus(-200) underflows to 0.0 in float32
-        model = tiny_model(precision="32")
-        for branch in (model.mamba_fwd, model.mamba_bwd):
-            branch.dt_proj.bias.data[:] = -200.0
-        before = {n: t.data.copy() for n, t in model.named_parameters()}
-        result = train(model, tiny_dataset(), TrainRunConfig(epochs=3, batch_size=16))
-        assert result.diverged
-        assert result.curve == []
-        for name, t in model.named_parameters():
-            np.testing.assert_array_equal(t.data, before[name])
+    def test_underflowed_step_size_rolls_back(self, caplog):
+        # the scan's step size softplus(-200) underflows to 0.0 in float32;
+        # a NaN head bias makes the first loss NaN, caught before the sweep
+        def underflow(model):
+            for branch in (model.mamba_fwd, model.mamba_bwd):
+                branch.dt_proj.bias.data[:] = -200.0
+
+        def nan_bias(model):
+            model.head.bias.data[0] = np.nan
+
+        for edit, cause in ((underflow, "selective_scan: softplus(dt) is not a positive number"),
+                            (nan_bias, "non-finite training loss nan")):
+            model = tiny_model(precision="32")
+            edit(model)
+            before = {n: t.data.copy() for n, t in model.named_parameters()}
+            caplog.clear()
+            result = train(model, tiny_dataset(), TrainRunConfig(epochs=3, batch_size=16))
+            assert result.diverged
+            assert result.curve == []
+            assert f"training diverged at epoch 0 ({cause}" in caplog.text
+            for name, t in model.named_parameters():
+                np.testing.assert_array_equal(t.data, before[name])
 
     def test_early_stopping_on_stale_validation(self):
         # pure noise: validation cannot keep improving for 40 epochs
@@ -335,6 +388,10 @@ class TestEvaluate:
         assert taped == [False] * 4
         for p, (grad, copy) in zip(params, before):
             assert p.grad is grad and np.array_equal(grad, copy)
+
+    def test_no_windows_give_nan(self):
+        mse, mae = evaluate_mse_mae(tiny_model(), [], 8)
+        assert math.isnan(mse) and math.isnan(mae)
 
     def test_memory_is_bounded_by_batches_not_windows(self):
         ds, model = wide_dataset_and_model()
