@@ -267,7 +267,7 @@ def load_model(path) -> tuple[AttentionMambaModel, dict[str, np.ndarray]]:
                     f"checkpoint tensor {name} has shape {array.shape}, "
                     f"model expects {known[name].data.shape}"
                 )
-            known[name].data = array.astype(config.dtype)
+            known[name].data = array.astype(config.dtype, copy=False)   # load_checkpoint already copied it
         else:
             extras[name] = array
     missing = set(known) - set(tensors)

@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from attention_mamba import model as model_module
 from attention_mamba.layers import LinearLayer
 from attention_mamba.mamba import CONV_WIDTH, EXPANSION, STATE_DIM
 from attention_mamba.model import (
@@ -324,6 +325,22 @@ class TestCheckpoint:
         for (name, orig), (_, new) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(orig.data.astype(np.float32), new.data)
         np.testing.assert_array_equal(extras["scaler.mean"], np.arange(3.0, dtype=np.float32))
+
+    def test_float32_parameters_take_the_arrays_read(self, tmp_path, monkeypatch):
+        # load_checkpoint copies each record out of the file; load_model copies none again
+        cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8)
+        path = tmp_path / "model.ckpt"
+        save_model(path, AttentionMambaModel(cfg, np.random.default_rng(3)))
+        read = {}
+
+        def recording(p):
+            config, tensors = load_checkpoint(p)
+            read.update(tensors)
+            return config, tensors
+
+        monkeypatch.setattr(model_module, "load_checkpoint", recording)
+        loaded, _ = load_model(path)
+        assert all(t.data is read[name] for name, t in loaded.named_parameters())
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         model = tiny_model(seed=9)

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,31 @@ def test_only_the_tape_reads_requires_grad():
              if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
              and isinstance(node.ctx, ast.Load)]
     assert not reads, "requires_grad read outside the tape's rule:\n" + "\n".join(reads)
+
+
+# The package runs on numpy alone; scipy is a test dependency, the oracle
+# for functions the package computes itself.
+RUNTIME = """
+import importlib, pkgutil, sys
+import numpy as np
+import attention_mamba
+for info in pkgutil.iter_modules(attention_mamba.__path__):
+    importlib.import_module(f"attention_mamba.{info.name}")
+from attention_mamba.data import SyntheticSpec, fit_apply_scaler, generate_synthetic, split_series
+from attention_mamba.model import AttentionMambaModel, ModelConfig
+from attention_mamba.training import TrainRunConfig, train
+dataset = fit_apply_scaler(split_series(generate_synthetic(SyntheticSpec(3, 60, seed=0)), 8, 4))
+config = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8)
+model = AttentionMambaModel(config, np.random.default_rng(0))
+train(model, dataset, TrainRunConfig(epochs=1, batch_size=64))   # one step: fewer windows than a batch
+model.forward(np.zeros((1, 8, 3), np.float32))
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_training_and_forecasting_import_no_scipy():
+    src = Path(attention_mamba.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", RUNTIME], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", f"scipy modules loaded at run time: {run.stdout.strip()}"

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from attention_mamba.tensor_core import (
     GraphConsumedError,
@@ -24,6 +24,7 @@ from attention_mamba.tensor_core import (
     selective_scan,
     slice_axis,
     softmax_last,
+    _erf,
     _row_windows,
     _sigmoid,
 )
@@ -491,12 +492,20 @@ class TestInvariants:
         x = Tensor(rand(3, 4, 5))
         assert x.data.size == 3 * 4 * 5
 
+    def test_repr_names_shape_dtype_and_requires_grad(self):
+        x = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        assert repr(x) == "Tensor(shape=(2, 3), dtype=float32, requires_grad=True)"
+
     def test_float32_ops_stay_float32(self):
         x = Tensor(rand(3, 4).astype(np.float32))
         w = Tensor(rand(4, 2).astype(np.float32))
         b = Tensor(rand(2).astype(np.float32))
         for out in (x * 2.0 + 1.0, x.gelu(), x.silu(), softmax_last(x), affine(x, w, b)):
             assert out.data.dtype == np.float32
+
+
+def ulps(got, want, bits):
+    return np.abs(got.view(bits).astype(np.int64) - want.view(bits).astype(np.int64))
 
 
 class TestSigmoid:
@@ -507,10 +516,9 @@ class TestSigmoid:
     def test_within_4_ulp_of_expit(self, dtype, bits):
         # past exp's float32 overflow edge at x ~ -88.7
         x = np.linspace(-120, 120, 480_001).astype(dtype)
-        got, want = _sigmoid(x), expit(x)
+        got = _sigmoid(x)
         assert got.dtype == dtype
-        ulps = np.abs(got.view(bits).astype(np.int64) - want.view(bits).astype(np.int64))
-        assert ulps.max() <= 4
+        assert ulps(got, expit(x), bits).max() <= 4
 
     @pytest.mark.parametrize("dtype,edge", [(np.float32, 200.0), (np.float64, 800.0)])
     def test_exact_limits_nan_and_no_warning(self, dtype, edge):
@@ -529,6 +537,56 @@ class TestSigmoid:
         assert x.silu().data.tobytes() == (x.data * s).tobytes()
         backward(x.silu().sum())
         assert x.grad.tobytes() == (s * (1.0 + x.data * (1.0 - s))).tobytes()
+
+
+class TestErf:
+    """The numpy erf that gelu uses, against scipy's, which evaluates the
+    same Cephes forms in C. ``tests/erf_sweep.py`` compares every float32
+    input in [0, 6]."""
+
+    def test_float32_equals_scipy_on_a_bit_pattern_sample(self):
+        # every 997th float32 in [0, 6], and its negative: both forms, the
+        # switch between them at 1, and the tail where erf rounds to 1
+        x = np.arange(0, np.float32(6.0).view(np.int32) + 1, 997, dtype=np.int32).view(np.float32)
+        x = np.concatenate([x, -x])
+        got = _erf(x)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.int32), erf(x).view(np.int32))
+
+    def test_special_points_equal_scipy(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        edges = [np.nextafter(np.float32(v), np.float32(t)) for v in (1.0, 8.0) for t in (0.0, 9.0)]
+        x = np.array([0.0, np.inf, np.nan, tiny, 8 * tiny, np.finfo(np.float32).tiny, 1.0, 8.0, *edges],
+                     np.float32)
+        x = np.concatenate([x, -x])
+        got = _erf(x)
+        np.testing.assert_array_equal(got.view(np.int32)[~np.isnan(x)],
+                                      erf(x).view(np.int32)[~np.isnan(x)])
+        assert np.isnan(got[np.isnan(x)]).all()
+        half = len(x) // 2   # x[half:] is -x: -0.0, -inf, ...
+        np.testing.assert_array_equal(got[[0, half, 1, half + 1]], [0.0, -0.0, 1.0, -1.0])
+        np.testing.assert_array_equal(np.signbit(got[[0, half]]), [False, True])
+
+    def test_float64_within_2_ulp_of_scipy(self):
+        x = np.concatenate([rand(200_000, lo=-9.0, hi=9.0), RNG.standard_normal(100_000),
+                            rand(1000, lo=0.99, hi=1.01), rand(1000, lo=7.99, hi=8.01),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 8.0, np.inf, -np.inf]])
+        got = _erf(x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(x))
+        assert ulps(got, erf(x), np.int64).max() <= 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_warning_on_any_input(self, dtype):
+        x = np.array([np.nan, np.inf, -np.inf, 1e30, -1e-30, 0.0, 2.0], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _erf(x)
+
+    def test_gelu_forward_equals_the_scipy_formula_in_float32(self):
+        x = rand(64, 40, lo=-10.0, hi=10.0).astype(np.float32)
+        want = x * (0.5 * (1.0 + erf(x * np.float32(1.0 / np.sqrt(2.0)))))
+        assert Tensor(x).gelu().data.tobytes() == want.tobytes()
 
 
 class TestPoolWindows:
