@@ -179,17 +179,17 @@ class WindowSample:
 
 
 def window_starts(total: int, lookback: int, horizon: int,
-                  region: tuple[int, int] | None = None) -> np.ndarray:
+                  region: tuple[int, int]) -> np.ndarray:
     """Start timesteps of the stride-1 windows whose last target falls in `region`.
 
     The lookback may reach back before the region start (but never before
     timestep 0), so scoring region r of length R yields R windows once r
-    starts at lookback+horizon-1 or later; a standalone series of length R
-    yields R - L - T + 1 windows. Too-short inputs give none.
+    starts at lookback+horizon-1 or later; the region (0, R) of a series of
+    length R yields R - L - T + 1 windows. Too-short inputs give none.
     """
     if lookback < 1 or horizon < 1:
         raise DataError(f"lookback and horizon must be >= 1, got {lookback}, {horizon}")
-    start, end = region if region is not None else (0, total)
+    start, end = region
     first = max(0, start - lookback - horizon + 1)
     last = min(end, total) - lookback - horizon + 1
     if last <= first:
@@ -199,7 +199,7 @@ def window_starts(total: int, lookback: int, horizon: int,
 
 
 def make_windows(values: np.ndarray, lookback: int, horizon: int,
-                 region: tuple[int, int] | None = None) -> list[WindowSample]:
+                 region: tuple[int, int]) -> list[WindowSample]:
     """The windows of ``window_starts`` as views of `values`."""
     return [WindowSample(x=values[i:i + lookback], y=values[i + lookback:i + lookback + horizon])
             for i in window_starts(values.shape[0], lookback, horizon, region).tolist()]
@@ -207,32 +207,6 @@ def make_windows(values: np.ndarray, lookback: int, horizon: int,
 
 # --------------------------------------------------------------------------
 # scaling and splits
-
-@dataclass
-class Scaler:
-    """Per-variate z-scoring statistics fit on the training range only."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @staticmethod
-    def fit(values: np.ndarray) -> "Scaler":
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        degenerate = std < ZERO_VARIANCE_EPS
-        if degenerate.any():
-            log.warning("zero-variance variates %s: scale clamped to 1",
-                        np.flatnonzero(degenerate).tolist())
-            std = np.where(degenerate, 1.0, std)
-        return Scaler(mean=mean, std=std)
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        """(values - mean) / std, the division done in place: one array
-        the size of `values` instead of two."""
-        out = values - self.mean
-        out /= self.std
-        return out
-
 
 @dataclass
 class SplitDataset:
@@ -244,21 +218,20 @@ class SplitDataset:
     train_range: tuple[int, int]
     val_range: tuple[int, int]
     test_range: tuple[int, int]
-    scaler: Scaler | None = None
-
-    def range_of(self, split: str) -> tuple[int, int]:
-        try:
-            return {"train": self.train_range, "val": self.val_range,
-                    "test": self.test_range}[split]
-        except KeyError:
-            raise ValueError(f"unknown split {split!r}") from None
 
     def windows(self, split: str) -> list[WindowSample]:
-        return make_windows(self.values, self.lookback, self.horizon, self.range_of(split))
+        """The windows whose targets fall in split "train", "val" or "test"."""
+        try:
+            region = {"train": self.train_range, "val": self.val_range,
+                      "test": self.test_range}[split]
+        except KeyError:
+            raise ValueError(f"unknown split {split!r}") from None
+        return make_windows(self.values, self.lookback, self.horizon, region)
 
 
 def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset:
-    """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)."""
+    """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)
+    over ``series.values`` itself, not a copy."""
     total = series.values.shape[0]
     if total < lookback + horizon:
         raise DataError(
@@ -267,7 +240,7 @@ def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset
     n_train = int(total * SPLIT_RATIOS[0])
     n_val = int(total * SPLIT_RATIOS[1])
     return SplitDataset(
-        values=series.values.copy(),
+        values=series.values,
         lookback=lookback,
         horizon=horizon,
         train_range=(0, n_train),
@@ -277,12 +250,25 @@ def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset
 
 
 def fit_apply_scaler(ds: SplitDataset) -> SplitDataset:
-    """Fit z-scoring on the train range and apply it to every split."""
+    """Z-score every split by the per-variate mean and std of the train range.
+
+    A std below ``ZERO_VARIANCE_EPS`` is clamped to 1, with a warning. The
+    scaled series is one new array, (values - mean) / std with the division
+    done in place; `ds` is left as it was.
+    """
     start, end = ds.train_range
     if end <= start:
         raise DataError("train range is empty; cannot fit a scaler")
-    scaler = Scaler.fit(ds.values[start:end])
-    return replace(ds, values=scaler.transform(ds.values), scaler=scaler)
+    train = ds.values[start:end]
+    std = train.std(axis=0)
+    degenerate = std < ZERO_VARIANCE_EPS
+    if degenerate.any():
+        log.warning("zero-variance variates %s: scale clamped to 1",
+                    np.flatnonzero(degenerate).tolist())
+        std = np.where(degenerate, 1.0, std)
+    values = ds.values - train.mean(axis=0)
+    values /= std
+    return replace(ds, values=values)
 
 
 # --------------------------------------------------------------------------

@@ -23,11 +23,11 @@ class LinearLayer:
         return self.weight.data.shape[0]
 
     @staticmethod
-    def init(in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32) -> "LinearLayer":
-        """Uniform init in [-1/sqrt(in), +1/sqrt(in)] for weight and bias."""
+    def init(in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearLayer":
+        """Uniform init in [-1/sqrt(in), +1/sqrt(in)] for weight and bias, in float64."""
         bound = 1.0 / float(np.sqrt(in_dim))
-        weight = rng.uniform(-bound, bound, size=(in_dim, out_dim)).astype(dtype)
-        bias = rng.uniform(-bound, bound, size=(out_dim,)).astype(dtype)
+        weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
+        bias = rng.uniform(-bound, bound, size=(out_dim,))
         return LinearLayer(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True))
 
 
@@ -54,9 +54,9 @@ class RevIN:
     statistics (the only ones available at inference).
     """
 
-    def __init__(self, n_variates: int, dtype=np.float32):
-        self.gamma = Tensor(np.ones(n_variates, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(n_variates, dtype=dtype), requires_grad=True)
+    def __init__(self, n_variates: int):
+        self.gamma = Tensor(np.ones(n_variates), requires_grad=True)
+        self.beta = Tensor(np.zeros(n_variates), requires_grad=True)
 
     def normalize(self, x: Tensor) -> tuple[Tensor, RevInState]:
         """x is [B, L, N] with L >= 2; returns (normalized, state)."""

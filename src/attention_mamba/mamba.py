@@ -62,9 +62,8 @@ class MambaParams:
         return self.dt_proj.in_dim
 
     @staticmethod
-    def init(embed_dim: int, n_tokens: int, rng: np.random.Generator,
-             dtype=np.float32) -> "MambaParams":
-        """Build one direction's parameters.
+    def init(embed_dim: int, n_tokens: int, rng: np.random.Generator) -> "MambaParams":
+        """Build one direction's parameters, in float64.
 
         The convolution width is clamped to the token count; a kernel wider
         than the sequence would only add zero-padded taps.
@@ -74,25 +73,25 @@ class MambaParams:
         width = min(CONV_WIDTH, n_tokens)
 
         bound = 1.0 / math.sqrt(width)
-        conv_weight = rng.uniform(-bound, bound, size=(channels, width)).astype(dtype)
-        conv_bias = rng.uniform(-bound, bound, size=(channels,)).astype(dtype)
+        conv_weight = rng.uniform(-bound, bound, size=(channels, width))
+        conv_bias = rng.uniform(-bound, bound, size=(channels,))
 
-        dt_proj = LinearLayer.init(dt_rank, channels, rng, dtype)
+        dt_proj = LinearLayer.init(dt_rank, channels, rng)
         # bias such that softplus(bias) lands log-uniformly in [DT_INIT_MIN, DT_INIT_MAX]
         dt = np.exp(rng.uniform(math.log(DT_INIT_MIN), math.log(DT_INIT_MAX), size=channels))
-        dt_proj.bias.data[:] = (dt + np.log(-np.expm1(-dt))).astype(dtype)
+        dt_proj.bias.data[:] = dt + np.log(-np.expm1(-dt))
 
         a_log = np.log(np.tile(np.arange(1, STATE_DIM + 1, dtype=np.float64), (channels, 1)))
 
         return MambaParams(
-            in_proj=LinearLayer.init(embed_dim, 2 * channels, rng, dtype),
+            in_proj=LinearLayer.init(embed_dim, 2 * channels, rng),
             conv_weight=Tensor(conv_weight, requires_grad=True),
             conv_bias=Tensor(conv_bias, requires_grad=True),
-            x_proj=LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng, dtype),
+            x_proj=LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng),
             dt_proj=dt_proj,
-            A_log=Tensor(a_log.astype(dtype), requires_grad=True),
-            D_skip=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-            out_proj=LinearLayer.init(channels, embed_dim, rng, dtype),
+            A_log=Tensor(a_log, requires_grad=True),
+            D_skip=Tensor(np.ones(channels), requires_grad=True),
+            out_proj=LinearLayer.init(channels, embed_dim, rng),
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

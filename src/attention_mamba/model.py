@@ -93,16 +93,18 @@ class AttentionMambaModel:
     """The full forecaster; parameters are plain tensors on the tape."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
+        """Draw every parameter in float64, then cast it once to ``config.dtype``."""
         self.config = config
-        dtype = config.dtype
-        self.revin = RevIN(config.n_variates, dtype=dtype)
-        self.embed = LinearLayer.init(config.lookback, config.embed_dim, rng, dtype)
-        self.attn = PooledAttentionParams.init(config.n_variates, config.embed_dim, rng, dtype)
+        self.revin = RevIN(config.n_variates)
+        self.embed = LinearLayer.init(config.lookback, config.embed_dim, rng)
+        self.attn = PooledAttentionParams.init(config.n_variates, config.embed_dim, rng)
         # forward direction drawn first, then backward
         self.mamba_fwd, self.mamba_bwd = (
-            MambaParams.init(config.embed_dim, config.n_variates, rng, dtype) for _ in range(2)
+            MambaParams.init(config.embed_dim, config.n_variates, rng) for _ in range(2)
         )
-        self.head = LinearLayer.init(config.embed_dim, config.horizon, rng, dtype)
+        self.head = LinearLayer.init(config.embed_dim, config.horizon, rng)
+        for _, t in self.named_parameters():
+            t.data = t.data.astype(config.dtype, copy=False)
 
     # -- parameters ----------------------------------------------------------
 

@@ -6,15 +6,9 @@ pooling of N rows into E/4 windows and of E columns into groups of 4. The
 pooled matrices are pushed through exact GeLU and multiplied into a score
 matrix whose cost, (E/4)^3 MACs per batch element, is independent of the
 variate count N, then softmaxed and projected back to [B, N, E] by two
-per-axis recovery maps. The score product is a call to this module's
-``matmul``, so a caller can count its MACs by wrapping that name.
-
-The score product carries no 1/sqrt(d) scale, so training soon drives the
-score rows' ranges into the hundreds and most softmax rows to one-hot. The
-softmax's backward then makes float32 subnormals, which would slow every
-matmul behind it (the score product, and through GeLU and the pooling, the
-q/k projections) by up to an order of magnitude. ``softmax_last`` flushes
-them to zero in its backward, where they are made.
+per-axis recovery maps. The score product carries no 1/sqrt(d) scale. It
+is a call to this module's ``matmul``, so a caller can count its MACs by
+wrapping that name.
 """
 
 from __future__ import annotations
@@ -37,14 +31,13 @@ class PooledAttentionParams:
     recover_n: LinearLayer  # E/4 -> N, applied on the token axis via transpose
 
     @staticmethod
-    def init(n_variates: int, embed_dim: int, rng: np.random.Generator,
-             dtype=np.float32) -> "PooledAttentionParams":
+    def init(n_variates: int, embed_dim: int, rng: np.random.Generator) -> "PooledAttentionParams":
         quarter = embed_dim // 4
         return PooledAttentionParams(
-            q_proj=LinearLayer.init(embed_dim, embed_dim, rng, dtype),
-            k_proj=LinearLayer.init(embed_dim, embed_dim, rng, dtype),
-            recover_e=LinearLayer.init(quarter, embed_dim, rng, dtype),
-            recover_n=LinearLayer.init(quarter, n_variates, rng, dtype),
+            q_proj=LinearLayer.init(embed_dim, embed_dim, rng),
+            k_proj=LinearLayer.init(embed_dim, embed_dim, rng),
+            recover_e=LinearLayer.init(quarter, embed_dim, rng),
+            recover_n=LinearLayer.init(quarter, n_variates, rng),
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

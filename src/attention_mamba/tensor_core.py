@@ -43,27 +43,6 @@ back over broadcast axes. Only leading-batch broadcasting is part of the
 documented contract, but the general rule is implemented because RevIN's
 [B, 1, N] statistics broadcast over the time axis.
 
-Two ops are single fused nodes with hand-written backwards rather than
-chains of small nodes. The selective scan (``selective_scan``) takes Mamba's
-raw dt and A_log and forms the step size softplus(dt) and the state matrix
--exp(A_log) itself. It builds its states channels-last, [B, S, C] a token,
-in cache-sized runs of tokens, reads each run out by matmul, and keeps only
-each run's last state, [runs, B, S, C]: the backward rebuilds a run's
-decays and states from the previous run's last state, then runs the
-reverse recurrence. The adaptive average-plus-max pooling of query and key
-from [B, N, E] to [B, E/4, E/4] (``fuse_pool``) averages by one matmul with
-a cached [E/4, N] map, and folds maxima over gathered row slabs, then
-strided column views; the argmax that routes its max gradient runs in the
-backward alone. The causal depthwise convolution is one contraction over a
-window view, forward and backward.
-
-``softmax_last``'s backward flushes subnormal input gradients to zero.
-SiLU and the scan's dt gradient take the sigmoid from numpy's vectorised
-exp, not from scipy's scalar-loop ``expit``. GeLU's erf (``_erf``) runs
-Cephes' rational forms in float64, as scipy's ``erf`` does, and rounds once
-to the input's dtype; its float32 results equal scipy's on every float32
-input swept. The package imports numpy alone.
-
 What a closure keeps is what its backward reads; an array the backward can
 rebuild cheaply from the kept ones is rebuilt rather than kept, by the
 forward's operations on the same operands, so no bit of any gradient

@@ -126,6 +126,7 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     across batches, so the result is the MSE and MAE of those predictions to
     float64 rounding and does not depend on ``batch_size``. The forwards run
     under ``no_grad``, so they build no tape and leave every ``.grad`` as it was.
+    Targets that are not the forecast's shape raise DataError.
     """
     if not windows:
         return float("nan"), float("nan")
@@ -135,8 +136,10 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     for i in range(0, len(windows), batch_size):
         batch = windows[i:i + batch_size]
         with no_grad():
-            yhat = model.forward(np.stack([w.x for w in batch]).astype(model.config.dtype))[0].data
+            yhat = model.forward(np.stack([w.x for w in batch]))[0].data
         ys = np.stack([w.y for w in batch]).astype(model.config.dtype)
+        if ys.shape != yhat.shape:
+            raise DataError(f"targets have shape {ys.shape}, forecasts {yhat.shape}")
         err = yhat.astype(np.float64) - ys.astype(np.float64)
         sq += float((err**2).sum())
         ab += float(np.abs(err).sum())
@@ -173,9 +176,13 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     is not a positive number (NonPositiveStepError from the scan), ends the run
     flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
     Each step's graph dies with the frame of ``_train_step``, so one tape is
-    alive at a time, and the validation pass builds none.
+    alive at a time, and the validation pass builds none. A dataset whose
+    (lookback, horizon) is not the model's raises DataError.
     """
     L, T = dataset.lookback, dataset.horizon
+    if (L, T) != (model.config.lookback, model.config.horizon):
+        raise DataError(f"dataset has (lookback, horizon) = {(L, T)}, model "
+                        f"{(model.config.lookback, model.config.horizon)}")
     starts = window_starts(dataset.values.shape[0], L, T, dataset.train_range)
     if not len(starts):
         raise DataError("dataset yields no training windows")

@@ -4,6 +4,10 @@ Run it from the repository root on two trees and compare the lines:
 
     python3 tests/bit_hashes.py
 
+The first line names the BLAS threading and the numpy version the hashes
+hold for: ``OPENBLAS_NUM_THREADS`` (or "default" when it is unset) and
+``np.__version__``. The gradients at N=321 change with the thread count.
+
 Each hash is the first 16 hex digits of the SHA-256 of the arrays' C-order
 bytes, concatenated in ``model.parameters()`` order where there are many:
 
@@ -20,6 +24,7 @@ The file is not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -66,6 +71,8 @@ def trained_hash() -> str:
 
 
 def main() -> None:
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}, "
+          f"numpy {np.__version__}")
     for batch, n_variates in ((32, 21), (16, 321)):
         forward, grads = step_hashes(batch, n_variates)
         print(f"B={batch}, N={n_variates}: forward {forward}, gradients {grads}")

@@ -9,7 +9,7 @@ from attention_mamba.data import (
     NonNumericCellError,
     RaggedRowError,
     RawSeries,
-    Scaler,
+    SplitDataset,
     SyntheticSpec,
     fit_apply_scaler,
     generate_synthetic,
@@ -179,15 +179,15 @@ class TestLoadCsv:
 class TestMakeWindows:
     def test_counting_example(self):
         values = RNG.standard_normal((10, 2))
-        assert len(make_windows(values, 3, 2)) == 6
+        assert len(make_windows(values, 3, 2, (0, 10))) == 6
 
     def test_boundary_gives_empty(self):
         values = RNG.standard_normal((5, 2))
-        assert make_windows(values, 3, 3) == []
+        assert make_windows(values, 3, 3, (0, 5)) == []
 
     def test_slicing_oracle(self):
         values = RNG.standard_normal((20, 3))
-        for i, w in enumerate(make_windows(values, 4, 2)):
+        for i, w in enumerate(make_windows(values, 4, 2, (0, 20))):
             np.testing.assert_array_equal(w.x, values[i:i + 4])
             np.testing.assert_array_equal(w.y, values[i + 4:i + 6])
 
@@ -197,7 +197,7 @@ class TestMakeWindows:
             for lookback in (1, 2, 5):
                 for horizon in (1, 3, 7):
                     expected = max(0, total - lookback - horizon + 1)
-                    assert len(make_windows(values, lookback, horizon)) == expected
+                    assert len(make_windows(values, lookback, horizon, (0, total))) == expected
 
     def test_target_membership_rule(self):
         # lookback may reach back before the region, target may not leave it
@@ -210,7 +210,7 @@ class TestMakeWindows:
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(DataError, match="lookback and horizon must be >= 1"):
-            make_windows(np.zeros((10, 1)), 0, 2)
+            make_windows(np.zeros((10, 1)), 0, 2, (0, 10))
 
 
 class TestSplits:
@@ -235,7 +235,7 @@ class TestSplits:
         values = np.arange(100, dtype=np.float64)[:, None] * np.ones((1, 3))
         ds = split_series(RawSeries(values=values, names=["a", "b", "c"]), 8, 4)
         for split in ("train", "val", "test"):
-            start, end = ds.range_of(split)
+            start, end = getattr(ds, f"{split}_range")
             windows = ds.windows(split)
             assert windows, split
             for w in windows:
@@ -249,32 +249,34 @@ class TestSplits:
 
     def test_unknown_split_rejected(self):
         with pytest.raises(ValueError, match="unknown split 'validation'"):
-            self.make().range_of("validation")
+            self.make().windows("validation")
 
 
 class TestScaler:
-    def test_constant_variate_scales_to_zero(self):
+    def test_constant_variate_scales_to_zero(self, caplog):
         series = RawSeries(values=np.full((30, 2), 5.0), names=["a", "b"])
         ds = fit_apply_scaler(split_series(series, 4, 2))
         np.testing.assert_array_equal(ds.values, np.zeros((30, 2)))
+        assert "zero-variance variates [0, 1]: scale clamped to 1" in caplog.text
 
     def test_two_pass_statistics_oracle(self):
         values = RNG.standard_normal((64, 3)) * 2.5 - 1.0
-        scaler = Scaler.fit(values)
-        np.testing.assert_allclose(scaler.mean, values.sum(axis=0) / 64, rtol=1e-12)
-        centered = values - values.sum(axis=0) / 64
-        np.testing.assert_allclose(scaler.std, np.sqrt((centered**2).sum(axis=0) / 64), rtol=1e-12)
+        ds = fit_apply_scaler(SplitDataset(values, 4, 2, (0, 64), (64, 64), (64, 64)))
+        mean = values.sum(axis=0) / 64
+        std = np.sqrt(((values - mean) ** 2).sum(axis=0) / 64)
+        np.testing.assert_allclose(ds.values, (values - mean) / std, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_transform_bit_identical_to_subtract_then_divide(self, dtype):
         values = (RNG.standard_normal((50, 4)) * 3.0 + 2.0).astype(dtype)
         values[:, 3] = 7.0   # a clamped, zero-variance variate
-        scaler = Scaler.fit(values[:30])
-        for part in (values, values[10:]):
-            got = scaler.transform(part)
-            want = (part - scaler.mean) / scaler.std
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        before = values.copy()
+        got = fit_apply_scaler(SplitDataset(values, 4, 2, (0, 30), (30, 40), (40, 50))).values
+        std = values[:30].std(axis=0)
+        want = (values - values[:30].mean(axis=0)) / np.where(std < 1e-8, 1.0, std)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert values.tobytes() == before.tobytes()
 
     def test_statistics_use_train_range_only(self):
         values = RNG.standard_normal((100, 2))
@@ -283,8 +285,7 @@ class TestScaler:
         mutated = values.copy()
         mutated[80:] += 1000.0  # test region only
         ds2 = fit_apply_scaler(split_series(RawSeries(values=mutated, names=["a", "b"]), 4, 2))
-        np.testing.assert_array_equal(ds1.scaler.mean, ds2.scaler.mean)
-        np.testing.assert_array_equal(ds1.scaler.std, ds2.scaler.std)
+        np.testing.assert_array_equal(ds1.values[:80], ds2.values[:80])
 
     def test_empty_train_range_rejected(self):
         series = RawSeries(values=RNG.standard_normal((30, 2)), names=["a", "b"])

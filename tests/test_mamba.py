@@ -383,13 +383,13 @@ class TestStability:
             h = h_next
 
 
-def tiny_params(embed_dim=8, n_tokens=4, seed=0, dtype=np.float64):
-    return MambaParams.init(embed_dim, n_tokens, np.random.default_rng(seed), dtype)
+def tiny_params(embed_dim=8, n_tokens=4, seed=0):
+    return MambaParams.init(embed_dim, n_tokens, np.random.default_rng(seed))
 
 
 class TestMambaForward:
     def test_output_shape_matches_input(self):
-        p = MambaParams.init(32, 7, np.random.default_rng(0), dtype=np.float64)
+        p = MambaParams.init(32, 7, np.random.default_rng(0))
         out = mamba_forward(Tensor(RNG.standard_normal((2, 7, 32))), p)
         assert out.data.shape == (2, 7, 32)
 

@@ -411,6 +411,20 @@ class TestCheckpointErrors:
         assert list(tensors) == ["a", "scalar", "b"]
         np.testing.assert_array_equal(tensors["scalar"], np.float32(2.5))
 
+    def test_saved_model_bytes_unchanged(self, tmp_path):
+        # pins the parameter names, order and shapes, the draw order and the
+        # one rounding to float32; precision "64" writes the same tensor records
+        blobs = {}
+        for precision in ("32", "64"):
+            cfg = ModelConfig(n_variates=3, lookback=8, horizon=4, embed_dim=8, precision=precision)
+            path = tmp_path / f"{precision}.ckpt"
+            save_model(path, AttentionMambaModel(cfg, np.random.default_rng(0)))
+            blobs[precision] = path.read_bytes()
+        assert hashlib.sha256(blobs["32"]).hexdigest() == \
+            "573b1356cd201c287499c7706b3b55b5b06c37d05e4040c35737ffca445ec7b8"
+        tensor_records = [blob[blob.index(b"}") + 1:] for blob in blobs.values()]
+        assert tensor_records[0] == tensor_records[1]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
         # save_checkpoint refuses to write one, so the value goes into the

@@ -222,8 +222,8 @@ class TestFusePool:
             fuse_pool(Tensor(np.zeros(shape)))
 
 
-def make_params(n_variates, embed_dim, dtype=np.float64, seed=0):
-    return PooledAttentionParams.init(n_variates, embed_dim, np.random.default_rng(seed), dtype)
+def make_params(n_variates, embed_dim):
+    return PooledAttentionParams.init(n_variates, embed_dim, np.random.default_rng(0))
 
 
 def captured_softmax(monkeypatch) -> list:

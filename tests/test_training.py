@@ -141,6 +141,11 @@ class TestTrain:
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
 
+    def test_dataset_geometry_must_be_the_models(self):
+        # a horizon-1 target would otherwise be spread over all 4 forecast steps
+        with pytest.raises(DataError, match=r"\(lookback, horizon\) = \(8, 1\), model \(8, 4\)"):
+            train(tiny_model(), tiny_dataset(horizon=1), TrainRunConfig(epochs=2))
+
     def test_one_step_graph_is_alive_at_a_time(self):
         # One step's tape (~20 MB) outweighs the series and the parameters
         # (<1 MB) here, so a second live tape, the previous step's or one
@@ -388,6 +393,11 @@ class TestEvaluate:
         assert taped == [False] * 4
         for p, (grad, copy) in zip(params, before):
             assert p.grad is grad and np.array_equal(grad, copy)
+
+    def test_targets_must_be_the_forecasts_shape(self):
+        windows = tiny_dataset(horizon=1).windows("test")
+        with pytest.raises(DataError, match=r"targets have shape \(8, 1, 3\), forecasts \(8, 4, 3\)"):
+            evaluate_mse_mae(tiny_model(), windows, 8)
 
     def test_no_windows_give_nan(self):
         mse, mae = evaluate_mse_mae(tiny_model(), [], 8)
