@@ -8,7 +8,8 @@ variate's column position decide what it can mix in.
 One direction: input projection into branch and gate, depthwise causal
 convolution over the token axis, SiLU, token-wise projections producing
 the raw step size dt, input matrix and readout matrix of the recurrence,
-the selective scan itself, SiLU gating, and an output projection. Activations
+the selective scan itself, the gate scanned * silu(gate) as one tape node
+(`tensor_core.silu_gate`), and an output projection. Activations
 stay token-major from input to output: [B, N, C], with C = EXPANSION * E
 channels, as the rest of the model lays out its tokens.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import Tensor, conv1d_depthwise_causal, reverse, selective_scan, slice_axis
+from .tensor_core import Tensor, conv1d_depthwise_causal, reverse, selective_scan, silu_gate, slice_axis
 
 DT_INIT_MIN = 1e-3
 DT_INIT_MAX = 1e-1
@@ -126,8 +127,7 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     dt = linear(dt_pre, p.dt_proj)                       # [B, N, C]
 
     scanned = selective_scan(u, dt, p.A_log, b_ssm, c_ssm, p.D_skip)
-    gated = scanned * gate.silu()
-    return linear(gated, p.out_proj)
+    return linear(silu_gate(scanned, gate), p.out_proj)
 
 
 def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams) -> Tensor:

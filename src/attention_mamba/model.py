@@ -137,8 +137,9 @@ class AttentionMambaModel:
         tokens = normalized.transpose_last2()            # [B, N, L]
         embedded = linear(tokens, self.embed)            # [B, N, E]
 
-        weights = attention_weights(embedded, self.attn)
+        # the value first: its scans' peak then comes before the attention's tape exists
         value = bidirectional_mamba(embedded, self.mamba_fwd, self.mamba_bwd)
+        weights = attention_weights(embedded, self.attn)
         fused = weights * value                          # elementwise, [B, N, E]
 
         horizon_first = linear(fused, self.head).transpose_last2()   # [B, T, N]

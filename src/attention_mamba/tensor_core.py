@@ -50,9 +50,10 @@ changes. ``+``, ``-``, ``reverse``, the transposes and the reductions keep
 only shapes, and ``slice_axis`` its index and its input's shape; ``*`` and
 ``/`` keep both operands, matmul both factors. ``affine`` keeps the weight
 and x as a 2-D matrix, a view unless x is strided. ``sqrt`` and
-``softmax_last`` keep their outputs, ``gelu`` x and its normal cdf. The
-docstrings of ``silu``, the causal convolution, the selective scan and
-``fuse_pool`` say what each keeps and rebuilds.
+``softmax_last`` keep their outputs, ``gelu`` x and its normal cdf, and
+``silu_gate`` its two operands and no silu. The docstrings of ``silu``,
+``silu_gate``, the causal convolution, the selective scan and ``fuse_pool``
+say what each keeps and rebuilds.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
     "slice_axis",
     "reverse",
     "softmax_last",
+    "silu_gate",
     "affine",
     "conv1d_depthwise_causal",
     "selective_scan",
@@ -498,6 +500,22 @@ def softmax_last(x: Tensor) -> Tensor:
     return _node(s, (x,), back)
 
 
+def silu_gate(x: Tensor, z: Tensor) -> Tensor:
+    """x * silu(z) under numpy broadcasting, as one node: Mamba's gate.
+
+    The bits of ``x * z.silu()``, output and both gradients, by the same
+    operations in the same order. The closure keeps x and z and no
+    silu(z): the backward forms sigmoid(z) and silu(z) again from z, as
+    ``silu``'s backward does.
+    """
+    x_data, z_data = x.data, z.data
+    def back(g, x, z):
+        s = _sigmoid(z_data)
+        _acc(x, _unbroadcast(g * (z_data * s), x_data.shape))
+        _acc(z, _unbroadcast(g * x_data, z_data.shape) * (s * (1.0 + z_data * (1.0 - s))))
+    return _node(x_data * (z_data * _sigmoid(z_data)), (x, z), back)
+
+
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = x @ weight + bias along the last axis; weight is [in, out]."""
     if x.data.shape[-1] != weight.data.shape[0]:
@@ -592,12 +610,15 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     slabs, then runs the recurrence from the previous run's last state. The
     forward reads each run out with one stacked matmul
     [k, B, 1, S] @ [k, B, S, C]. The closure keeps the arrays of u, dt, B,
-    C and D, delta, A^T and each run's last state, [runs, B, S, C], never
-    the states of every token. The backward walks the runs in reverse. It
-    rebuilds each run's decays and states from the kept run-end state, runs
-    the reverse recurrence
+    C and D, delta, A^T and the last state of every run but the last,
+    [runs - 1, B, S, C], which no run starts from; never the states of
+    every token. The backward walks the runs in reverse. It rebuilds each
+    run's decays and states from the previous run's kept end state, then
+    walks the run's tokens in reverse, forming one token's
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
-    and reads the gradients off dh and h in closed form. dt gets
+    at a time and reading the gradients of B_t and of delta_t * u_t off it
+    there. So it holds one run's decay and state slabs and one token's dh,
+    and reads the other gradients off the slabs in closed form. dt gets
     d_delta * sigmoid(dt), the sigmoid by ``_sigmoid``, and A_log gets
     d_A * A: the products that softplus, exp and negation as separate nodes
     would form.
@@ -636,7 +657,8 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
-    ends = np.empty((len(runs), batch, state_dim, channels), dtype)   # run-end states
+    # the end states of every run but the last, which no run starts from
+    ends = np.empty((max(len(runs) - 1, 0), batch, state_dim, channels), dtype)
 
     def run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab):
         """Run i's delta * u, decays and states, built in the slabs; the
@@ -662,7 +684,8 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     for i, (lo, hi) in enumerate(runs):
         _, _, h = run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab)
         np.matmul(c_n[lo:hi, :, None, :], h, out=y[lo:hi])
-        ends[i] = h[-1]
+        if i < len(ends):
+            ends[i] = h[-1]
     y = y[:, :, 0]
     y += d_skip * u_n
     _add_macs(2 * n_tokens * batch * state_dim * channels)
@@ -676,21 +699,23 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
         d_c = np.empty((n_tokens, batch, state_dim, 1), dtype)
         du_slab = np.empty(slab_shape[:2] + (channels,), dtype)
         dh_b_slab = np.empty(slab_shape[:2] + (1, channels), dtype)
-        dec_slab, h_slab, dh_slab = (np.empty(slab_shape, dtype) for _ in range(3))
+        dec_slab, h_slab = np.empty(slab_shape, dtype), np.empty(slab_shape, dtype)
+        dh = np.empty(slab_shape[1:], dtype)                       # one token's
         carry = np.zeros(slab_shape[1:], dtype)                    # decay_{t+1} * dh_{t+1}
         for i in range(len(runs) - 1, -1, -1):
             lo, hi = runs[i]
             k = hi - lo
             du, dec, h = run_states(i, delta_n, b_n, du_slab, dec_slab, h_slab)
-            dh = np.einsum("nbs,nbc->nbsc", c_n[lo:hi], g_n[lo:hi], out=dh_slab[:k])
-            # the carry goes into the decay slab, each decay read for the last time
             for t in range(k - 1, -1, -1):
-                dh[t] += carry
-                carry = np.multiply(dec[t], dh[t], out=dec[t])
+                np.einsum("bs,bc->bsc", c_n[lo + t], g_n[lo + t], out=dh)
+                dh += carry
+                # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
+                np.matmul(b_n[lo + t, :, None, :], dh, out=dh_b_slab[t])
+                np.matmul(dh, du[t, :, :, None], out=d_b[lo + t])
+                # the carry goes into the decay slab, each decay read for the last time
+                carry = np.multiply(dec[t], dh, out=dec[t])
             carry = carry.copy()   # it is dec[0], overwritten below
-            # dh_b = B_t @ dh_t, the gradient of delta_t * u_t
-            dh_b = np.matmul(b_n[lo:hi, :, None, :], dh, out=dh_b_slab[:k])[:, :, 0]
-            np.matmul(dh, du[:, :, :, None], out=d_b[lo:hi])
+            dh_b = dh_b_slab[:k, :, 0]
             np.matmul(h, g_n[lo:hi, :, :, None], out=d_c[lo:hi])
             # gradient of delta_t * A^T through the decay: decay_t * dh_t * h_{t-1}
             log_grad = dec
@@ -710,7 +735,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
             d_log[lo:hi] += np.multiply(u_n[lo:hi], dh_b, out=dh_b)
         # free the slabs, delta's copy and the loop's views of them before
         # the gradients are copied out
-        del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab, dh_slab
+        del b_n, c_n, delta_n, du_slab, dh_b_slab, dec_slab, h_slab
         du = dec = h = dh = dh_b = log_grad = None
         # softplus' derivative is the sigmoid
         np.multiply(d_log, _sigmoid(dt_data).transpose(1, 0, 2), out=d_log)

@@ -169,7 +169,8 @@ def _train_step(model: AttentionMambaModel, named, opt: AdamState,
 def train(model: AttentionMambaModel, dataset: SplitDataset,
           cfg: TrainRunConfig) -> TrainResult:
     """Minimize MSE over the train windows, each batch gathered from the
-    series cast once to the model dtype; deterministic for a fixed seed.
+    dataset's own series, then cast to the model dtype; deterministic for a
+    fixed seed.
 
     Restores the best-validation checkpoint into the model on every exit. A
     non-finite training loss, gradient or validation MSE, or a step size that
@@ -177,12 +178,15 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
     Each step's graph dies with the frame of ``_train_step``, so one tape is
     alive at a time, and the validation pass builds none. A dataset whose
-    (lookback, horizon) is not the model's raises DataError.
+    (lookback, horizon) or variate count is not the model's raises DataError.
     """
     L, T = dataset.lookback, dataset.horizon
     if (L, T) != (model.config.lookback, model.config.horizon):
         raise DataError(f"dataset has (lookback, horizon) = {(L, T)}, model "
                         f"{(model.config.lookback, model.config.horizon)}")
+    if dataset.values.shape[1] != model.config.n_variates:
+        raise DataError(f"dataset has {dataset.values.shape[1]} variates, "
+                        f"model {model.config.n_variates}")
     starts = window_starts(dataset.values.shape[0], L, T, dataset.train_range)
     if not len(starts):
         raise DataError("dataset yields no training windows")
@@ -190,7 +194,7 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     if not val_windows:
         log.info("no validation windows; using train loss for early stopping")
 
-    values = np.asarray(dataset.values, dtype=model.config.dtype)
+    values, dtype = dataset.values, model.config.dtype
     named = model.named_parameters()
     opt = AdamState.init(named, cfg.lr)
     rng = np.random.default_rng([cfg.seed, 1])
@@ -208,8 +212,9 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
         try:
             for i in range(0, len(order), cfg.batch_size):
                 s = starts[order[i:i + cfg.batch_size], None]
-                loss_val, n = _train_step(model, named, opt, values[s + np.arange(L)],
-                                          values[s + np.arange(L, L + T)])
+                x = values[s + np.arange(L)].astype(dtype, copy=False)
+                y = values[s + np.arange(L, L + T)].astype(dtype, copy=False)
+                loss_val, n = _train_step(model, named, opt, x, y)
                 sq_sum += loss_val * n
                 n_elem += n
 

@@ -1,0 +1,80 @@
+"""Print how much memory a forward and a train step allocate, by tracemalloc.
+
+Run it from the repository root on two trees and compare the lines:
+
+    python3 tests/step_memory.py
+
+The first line names the BLAS threading and the numpy version, as
+``tests/bit_hashes.py`` prints them. Then, at B=32, N=21 and at B=16,
+N=321, on ``bit_hashes.py``'s model (``default_rng(11)``, E=128, L=T=96)
+and float32 standard-normal inputs and targets from ``default_rng(5)``:
+
+- tape: the MiB the forward's output holds when the forward returns, its
+  graph's saved arrays included, the fusion's trace dropped;
+- forward peak: the highest MiB allocated while the forward runs;
+- step peak: the highest MiB allocated while one clipped Adam step runs
+  (``training._train_step``), taken after a warm-up step, so the Adam
+  moments and every cache already exist.
+
+Each figure counts only what is allocated after tracing starts, numpy
+buffers included, as ``tracemalloc`` sees them. It uses the standard
+library and numpy only. The file is not a test module: pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from attention_mamba.model import AttentionMambaModel, ModelConfig  # noqa: E402
+from attention_mamba.training import AdamState, _train_step  # noqa: E402
+
+EMBED, LOOKBACK, HORIZON = 128, 96, 96
+MIB = 2.0**20
+
+
+def traced(fn):
+    """fn()'s result, and the MiB it leaves allocated and its peak MiB."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current / MIB, peak / MIB
+
+
+def measure(batch: int, n_variates: int) -> tuple[float, float, float]:
+    """The tape, the forward's peak and a train step's peak, in MiB."""
+    config = ModelConfig(n_variates=n_variates, lookback=LOOKBACK, horizon=HORIZON, embed_dim=EMBED)
+    model = AttentionMambaModel(config, np.random.default_rng(11))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((batch, LOOKBACK, n_variates)).astype(np.float32)
+    y = rng.standard_normal((batch, HORIZON, n_variates)).astype(np.float32)
+    yhat, tape, forward_peak = traced(lambda: model.forward(x)[0])
+    del yhat
+    named = model.named_parameters()
+    opt = AdamState.init(named, 1e-3)
+    _train_step(model, named, opt, x, y)   # warm-up
+    _, _, step_peak = traced(lambda: _train_step(model, named, opt, x, y))
+    return tape, forward_peak, step_peak
+
+
+def main() -> None:
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}, "
+          f"numpy {np.__version__}")
+    for batch, n_variates in ((32, 21), (16, 321)):
+        tape, forward_peak, step_peak = measure(batch, n_variates)
+        print(f"B={batch}, N={n_variates}: tape {tape:.1f} MiB, forward peak "
+              f"{forward_peak:.1f} MiB, step peak {step_peak:.1f} MiB")
+
+
+if __name__ == "__main__":
+    main()

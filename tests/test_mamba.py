@@ -301,6 +301,31 @@ class TestFusedScanOracle:
         limit = 2 * token_sized + ends + slab
         assert kept < limit, f"{kept} bytes kept, limit {limit}"
 
+    @pytest.mark.parametrize("n_runs", [1, 4])
+    def test_node_keeps_the_end_states_of_every_run_but_the_last(self, n_runs, monkeypatch):
+        # runs of 8 tokens; no run starts from the last run's end state, so a
+        # k-run scan keeps k - 1 end states and a one-run scan none
+        batch, channels, state, span = 2, 64, 16, 8
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", span * batch * channels * state)
+        leaves = [Tensor(a, requires_grad=True) for a in random_scan_inputs(
+            np.random.default_rng(17), batch=batch, channels=channels, n=n_runs * span, state=state)]
+        token_sized = n_runs * span * batch * channels * 8
+        end_state = batch * state * channels * 8
+        kept = kept_bytes(lambda: selective_scan(*leaves))
+        # the output, delta = softplus(dt), A^T and the end states, and less
+        # than half an end state in Python objects
+        arrays = 2 * token_sized + state * channels * 8 + (n_runs - 1) * end_state
+        assert arrays <= kept < arrays + end_state // 2, f"{kept} bytes kept, arrays {arrays}"
+
+    def test_zero_tokens_give_empty_outputs_and_gradients(self):
+        arrays = random_scan_inputs(np.random.default_rng(18), batch=2, channels=3, n=0, state=4)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = selective_scan(*leaves)
+        assert out.data.shape == (2, 0, 3)
+        for leaf, grad in zip(leaves, gradients(out.sum(), leaves)):
+            assert grad.shape == leaf.data.shape
+            assert not grad.any()
+
     @pytest.mark.parametrize("wanted", [(0, 3), (1, 2, 5), (4,)])
     def test_gradcheck_with_some_inputs_constant(self, wanted, monkeypatch):
         monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 20)
@@ -479,10 +504,10 @@ class TestBidirectional:
 
     @pytest.mark.parametrize("n_tokens,embed_dim", [(4, 8), (21, 16)])
     def test_tape_nodes_per_call(self, n_tokens, embed_dim):
-        # 14 nodes a direction, the flip back of the reversed branch and the
+        # 13 nodes a direction, the flip back of the reversed branch and the
         # sum; reversing an input that needs no gradient adds no node
         p_fwd = tiny_params(embed_dim, n_tokens, seed=1)
         p_bwd = tiny_params(embed_dim, n_tokens, seed=2)
         x = np.random.default_rng(0).standard_normal((2, n_tokens, embed_dim))
         out = bidirectional_mamba(Tensor(x), p_fwd, p_bwd)
-        assert tape_nodes(out) == 30
+        assert tape_nodes(out) == 28

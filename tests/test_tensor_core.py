@@ -22,6 +22,7 @@ from attention_mamba.tensor_core import (
     pool_window_bounds,
     reverse,
     selective_scan,
+    silu_gate,
     slice_axis,
     softmax_last,
     _erf,
@@ -234,6 +235,7 @@ PRIMITIVE_CASES = [
     ("exp", exp, lambda: [rand(3, 4)]),
     ("sqrt", lambda a: a.sqrt(), lambda: [rand(3, 4, lo=0.5, hi=2.0)]),
     ("silu", lambda a: a.silu(), lambda: [rand(3, 4)]),
+    ("silu_gate", silu_gate, lambda: [rand(3, 4), rand(3, 4)]),
     ("gelu", lambda a: a.gelu(), lambda: [rand(3, 4)]),
     ("softplus", softplus, lambda: [rand(3, 4)]),
     ("softmax_last", softmax_last, lambda: [rand(3, 5)]),
@@ -283,6 +285,7 @@ MULTI_INPUT_CASES = [
     ("mul", lambda a, b: a * b, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
     ("div", lambda a, b: a / b, lambda: [rand(3, 4), rand(4, lo=0.5, hi=2.0)]),
     ("matmul", matmul, lambda: [rand(2, 3, 4), rand(4, 5)]),
+    ("silu_gate", silu_gate, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
     ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
     ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 6, 3), rand(3, 3), rand(3)]),
     ("selective_scan", selective_scan,
@@ -400,6 +403,13 @@ class TestWhatANodeKeeps:
         assert x.silu().requires_grad
         kept = kept_bytes(x.silu)
         # the output, and no second x-sized array for the sigmoid
+        assert kept < 1.5 * x.data.nbytes, f"{kept} bytes kept for a {x.data.nbytes}-byte input"
+
+    def test_silu_gate_keeps_no_silu_output(self):
+        x, z = (Tensor(rand(64, 1024), requires_grad=True) for _ in range(2))
+        assert silu_gate(x, z).requires_grad
+        kept = kept_bytes(lambda: silu_gate(x, z))
+        # the output, and no second x-sized array for silu(z)
         assert kept < 1.5 * x.data.nbytes, f"{kept} bytes kept for a {x.data.nbytes}-byte input"
 
     def test_conv_keeps_no_padded_copy(self):
@@ -537,6 +547,24 @@ class TestSigmoid:
         assert x.silu().data.tobytes() == (x.data * s).tobytes()
         backward(x.silu().sum())
         assert x.grad.tobytes() == (s * (1.0 + x.data * (1.0 - s))).tobytes()
+
+
+class TestSiluGate:
+    @pytest.mark.parametrize("shapes", [((4, 6), (4, 6)), ((2, 3, 1), (2, 1, 5))],
+                             ids=["same_shape", "broadcast"])
+    def test_float32_bits_of_x_times_silu_z(self, shapes):
+        # output and both gradients byte-equal to the two-node form it replaces
+        arrays = [rand(*shape, lo=-30, hi=30).astype(np.float32) for shape in shapes]
+        results = []
+        for gate in (silu_gate, lambda x, z: x * z.silu()):
+            x, z = (Tensor(a, requires_grad=True) for a in arrays)
+            out = gate(x, z)
+            probe = Tensor(np.random.default_rng(3).standard_normal(out.data.shape).astype(np.float32))
+            backward((out * probe).sum())
+            results.append((out.data, x.grad, z.grad))
+        for name, got, want in zip(("output", "x", "z"), *results):
+            assert got.dtype == np.float32, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestErf:

@@ -146,6 +146,11 @@ class TestTrain:
         with pytest.raises(DataError, match=r"\(lookback, horizon\) = \(8, 1\), model \(8, 4\)"):
             train(tiny_model(), tiny_dataset(horizon=1), TrainRunConfig(epochs=2))
 
+    def test_dataset_variates_must_be_the_models(self):
+        # named where the dataset enters, not as a batch shape in the first forward
+        with pytest.raises(DataError, match="dataset has 4 variates, model 3"):
+            train(tiny_model(), tiny_dataset(n_variates=4), TrainRunConfig(epochs=2))
+
     def test_one_step_graph_is_alive_at_a_time(self):
         # One step's tape (~20 MB) outweighs the series and the parameters
         # (<1 MB) here, so a second live tape, the previous step's or one
@@ -211,7 +216,9 @@ class TestTrain:
     def test_zero_epoch_memory_is_bounded_by_the_series(self):
         ds, model = wide_dataset_and_model()
         peak = traced_peak(lambda: train(model, ds, TrainRunConfig(epochs=0)))
-        assert peak < 4 * ds.values.nbytes
+        # no stacked windows (~120x the series) and no model-dtype copy of
+        # the float64 series (half of it): each batch is cast on its own
+        assert peak < ds.values.nbytes / 4, f"{peak} bytes for a {ds.values.nbytes}-byte series"
 
     @pytest.mark.parametrize("precision", ["32", "64"])
     def test_batches_are_the_stacked_windows_in_seeded_order(self, monkeypatch, precision):
