@@ -1,4 +1,5 @@
-"""Reusable neural layers: linear projections and reversible instance norm."""
+"""Reusable neural layers: weight/bias pairs and linear projections, the
+walk that names the tensors of a model, and reversible instance norm."""
 
 from __future__ import annotations
 
@@ -13,14 +14,12 @@ REVIN_EPS = 1e-5
 
 @dataclass
 class LinearLayer:
-    """Affine map along the last axis; weight is [in, out], bias [out]."""
+    """A weight and its bias. As ``linear``'s affine map along the last axis,
+    weight is [in, out] and bias [out]; a depthwise convolution keeps its
+    [C, K] kernel and [C] bias in one too."""
 
     weight: Tensor
     bias: Tensor
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.data.shape[0]
 
     @staticmethod
     def init(in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearLayer":
@@ -29,6 +28,20 @@ class LinearLayer:
         weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
         bias = rng.uniform(-bound, bound, size=(out_dim,))
         return LinearLayer(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True))
+
+
+def named_tensors(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """Every Tensor under obj's attributes, named by its dotted attribute
+    path, depth first in the order the attributes were set (``vars()``
+    order, which for a dataclass is its field order). An attribute that has
+    a ``__dict__`` is walked the same way; any other non-Tensor is skipped."""
+    out = []
+    for name, value in vars(obj).items():
+        if isinstance(value, Tensor):
+            out.append((prefix + name, value))
+        elif hasattr(value, "__dict__"):
+            out += named_tensors(value, f"{prefix}{name}.")
+    return out
 
 
 def linear(x: Tensor, layer: LinearLayer) -> Tensor:

@@ -13,15 +13,10 @@ the selective scan itself, the gate scanned * silu(gate) as one tape node
 stay token-major from input to output: [B, N, C], with C = EXPANSION * E
 channels, as the rest of the model lays out its tokens.
 
-The scan discretizes the continuous system with zero-order hold on the
-state matrix and an Euler step on the input, with step size
-delta = softplus(dt) and state matrix A = -exp(A_log): per channel c and
-token t,
-    h_t = exp(delta_t * a_c) * h_{t-1} + (delta_t * b_t) * u_t
-    y_t = c_t . h_t + d_c * u_t,       h_0 = 0.
 The scan is one tape node, `tensor_core.selective_scan`. It takes the raw
-dt and A_log and forms delta and A itself; its docstring gives how it runs
-and where its rounding differs from a per-step loop.
+dt and A_log and forms the step size softplus(dt) and the state matrix
+-exp(A_log) itself; its docstring states the recurrence, how it runs and
+where its rounding differs from a per-step loop.
 """
 
 from __future__ import annotations
@@ -43,24 +38,16 @@ STATE_DIM = 16     # states S per channel
 
 @dataclass
 class MambaParams:
-    """Parameters of one scan direction."""
+    """Parameters of one scan direction. The field order is the checkpoint
+    order: ``named_tensors`` walks the fields as declared."""
 
     in_proj: LinearLayer    # E -> 2*C (branch and gate)
-    conv_weight: Tensor     # [C, K], depthwise causal kernel
-    conv_bias: Tensor       # [C]
     x_proj: LinearLayer     # C -> dt_rank + 2*S
     dt_proj: LinearLayer    # dt_rank -> C
+    out_proj: LinearLayer   # C -> E
+    conv: LinearLayer       # weight [C, K], the depthwise causal kernel; bias [C]
     A_log: Tensor           # [C, S]; the scan's state matrix is -exp(A_log) < 0
     D_skip: Tensor          # [C], direct input-to-output path
-    out_proj: LinearLayer   # C -> E
-
-    @property
-    def channels(self) -> int:
-        return self.out_proj.in_dim
-
-    @property
-    def dt_rank(self) -> int:
-        return self.dt_proj.in_dim
 
     @staticmethod
     def init(embed_dim: int, n_tokens: int, rng: np.random.Generator) -> "MambaParams":
@@ -84,10 +71,10 @@ class MambaParams:
 
         a_log = np.log(np.tile(np.arange(1, STATE_DIM + 1, dtype=np.float64), (channels, 1)))
 
-        return MambaParams(
+        return MambaParams(   # keywords in draw order, which is not the field order
             in_proj=LinearLayer.init(embed_dim, 2 * channels, rng),
-            conv_weight=Tensor(conv_weight, requires_grad=True),
-            conv_bias=Tensor(conv_bias, requires_grad=True),
+            conv=LinearLayer(Tensor(conv_weight, requires_grad=True),
+                             Tensor(conv_bias, requires_grad=True)),
             x_proj=LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng),
             dt_proj=dt_proj,
             A_log=Tensor(a_log, requires_grad=True),
@@ -95,29 +82,16 @@ class MambaParams:
             out_proj=LinearLayer.init(channels, embed_dim, rng),
         )
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, layer in (("in_proj", self.in_proj), ("x_proj", self.x_proj),
-                            ("dt_proj", self.dt_proj), ("out_proj", self.out_proj)):
-            out.append((f"{name}.weight", layer.weight))
-            out.append((f"{name}.bias", layer.bias))
-        out.append(("conv.weight", self.conv_weight))
-        out.append(("conv.bias", self.conv_bias))
-        out.append(("A_log", self.A_log))
-        out.append(("D_skip", self.D_skip))
-        return out
-
 
 def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     """One scan direction over x [B, N, E]; output has the same shape."""
-    channels = p.channels
-    dt_rank = p.dt_rank
+    channels, dt_rank = p.out_proj.weight.data.shape[0], p.dt_proj.weight.data.shape[0]
 
     proj = linear(x, p.in_proj)                          # [B, N, 2C]
     branch = slice_axis(proj, 2, 0, channels)
     gate = slice_axis(proj, 2, channels, 2 * channels)
 
-    u = conv1d_depthwise_causal(branch, p.conv_weight, p.conv_bias).silu()   # [B, N, C]
+    u = conv1d_depthwise_causal(branch, p.conv.weight, p.conv.bias).silu()   # [B, N, C]
 
     feats = linear(u, p.x_proj)                          # [B, N, dt_rank + 2S]
     dt_pre = slice_axis(feats, 2, 0, dt_rank)

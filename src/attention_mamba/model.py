@@ -12,7 +12,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .layers import LinearLayer, RevIN, linear
+from .layers import LinearLayer, RevIN, linear, named_tensors
 from .mamba import CONV_WIDTH, EXPANSION, STATE_DIM, MambaParams, bidirectional_mamba
 from .pooled_attention import PooledAttentionParams, attention_weights
 from .tensor_core import ShapeError, Tensor
@@ -93,7 +93,8 @@ class AttentionMambaModel:
     """The full forecaster; parameters are plain tensors on the tape."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        """Draw every parameter in float64, then cast it once to ``config.dtype``."""
+        """Draw every parameter in float64, then cast it once to ``config.dtype``.
+        The blocks are set in checkpoint order."""
         self.config = config
         self.revin = RevIN(config.n_variates)
         self.embed = LinearLayer.init(config.lookback, config.embed_dim, rng)
@@ -106,32 +107,23 @@ class AttentionMambaModel:
         for _, t in self.named_parameters():
             t.data = t.data.astype(config.dtype, copy=False)
 
-    # -- parameters ----------------------------------------------------------
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("revin.gamma", self.revin.gamma), ("revin.beta", self.revin.beta),
-               ("embed.weight", self.embed.weight), ("embed.bias", self.embed.bias)]
-        out += [(f"attn.{n}", t) for n, t in self.attn.named_parameters()]
-        out += [(f"mamba_fwd.{n}", t) for n, t in self.mamba_fwd.named_parameters()]
-        out += [(f"mamba_bwd.{n}", t) for n, t in self.mamba_bwd.named_parameters()]
-        out += [("head.weight", self.head.weight), ("head.bias", self.head.bias)]
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        """Every parameter under its checkpoint name, by ``named_tensors``."""
+        return named_tensors(self)
 
     # -- forward ---------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[Tensor, ForwardTrace]:
         """Forecast [B, T, N] from a lookback window [B, L, N]."""
         cfg = self.config
-        data = np.asarray(x, dtype=cfg.dtype)
+        with np.errstate(over="ignore"):   # a value past the dtype's range becomes inf, refused below
+            data = np.asarray(x, dtype=cfg.dtype)
         if data.ndim != 3 or data.shape[0] < 1 or data.shape[1:] != (cfg.lookback, cfg.n_variates):
             raise ShapeError(
                 f"input must be [B, {cfg.lookback}, {cfg.n_variates}] with B >= 1, got {data.shape}"
             )
         if not np.all(np.isfinite(data)):
-            raise ValueError("input window contains non-finite values")
+            raise ValueError(f"input window holds a value that is not finite as {data.dtype}")
 
         normalized, state = self.revin.normalize(Tensor(data))
         tokens = normalized.transpose_last2()            # [B, N, L]

@@ -40,14 +40,6 @@ class PooledAttentionParams:
             recover_n=LinearLayer.init(quarter, n_variates, rng),
         )
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name, layer in (("q_proj", self.q_proj), ("k_proj", self.k_proj),
-                            ("recover_e", self.recover_e), ("recover_n", self.recover_n)):
-            out.append((f"{name}.weight", layer.weight))
-            out.append((f"{name}.bias", layer.bias))
-        return out
-
 
 def attention_weights(x_embed: Tensor, params: PooledAttentionParams) -> Tensor:
     """Compute the [B, N, E] attention weights."""

@@ -81,6 +81,11 @@ def clip_global_norm(grads) -> float:
     return total
 
 
+def _check_int(name: str, value, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class TrainRunConfig:
     """Run settings; the model carries the precision, the module constants the rest."""
@@ -92,9 +97,7 @@ class TrainRunConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
         lr = self.lr
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
             raise ConfigError(f"lr must be a finite number > 0, got {lr!r}")
@@ -126,8 +129,10 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     across batches, so the result is the MSE and MAE of those predictions to
     float64 rounding and does not depend on ``batch_size``. The forwards run
     under ``no_grad``, so they build no tape and leave every ``.grad`` as it was.
-    Targets that are not the forecast's shape raise DataError.
+    Targets that are not the forecast's shape raise DataError, and a
+    ``batch_size`` that is not an integer >= 1 raises ConfigError.
     """
+    _check_int("batch_size", batch_size, 1)
     if not windows:
         return float("nan"), float("nan")
     sq = 0.0

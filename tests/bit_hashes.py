@@ -9,7 +9,7 @@ hold for: ``OPENBLAS_NUM_THREADS`` (or "default" when it is unset) and
 ``np.__version__``. The gradients at N=321 change with the thread count.
 
 Each hash is the first 16 hex digits of the SHA-256 of the arrays' C-order
-bytes, concatenated in ``model.parameters()`` order where there are many:
+bytes, concatenated in ``model.named_parameters()`` order where there are many:
 
 - the forward and the one-step MSE gradients of a model drawn from
   ``default_rng(11)`` (E=128, L=T=96), on float32 standard-normal inputs
@@ -47,17 +47,29 @@ def digest(arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def step_hashes(batch: int, n_variates: int) -> tuple[str, str]:
-    """The forward and the one-step MSE gradients at one shape."""
+def blas_line() -> str:
+    """The BLAS threading and the numpy version the printed figures hold for."""
+    return (f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}, "
+            f"numpy {np.__version__}")
+
+
+def step_fixture(batch: int, n_variates: int) -> tuple[AttentionMambaModel, np.ndarray, np.ndarray]:
+    """The model, the inputs and the targets of one step at one shape."""
     config = ModelConfig(n_variates=n_variates, lookback=LOOKBACK, horizon=HORIZON, embed_dim=EMBED)
     model = AttentionMambaModel(config, np.random.default_rng(11))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((batch, LOOKBACK, n_variates)).astype(np.float32)
     y = rng.standard_normal((batch, HORIZON, n_variates)).astype(np.float32)
+    return model, x, y
+
+
+def step_hashes(batch: int, n_variates: int) -> tuple[str, str]:
+    """The forward and the one-step MSE gradients at one shape."""
+    model, x, y = step_fixture(batch, n_variates)
     yhat, _ = model.forward(x)
     forward = digest([yhat.data])
     diff = yhat - Tensor(y)
-    return forward, digest(gradients((diff * diff).mean(), model.parameters()))
+    return forward, digest(gradients((diff * diff).mean(), [t for _, t in model.named_parameters()]))
 
 
 def trained_hash() -> str:
@@ -67,12 +79,11 @@ def trained_hash() -> str:
     config = ModelConfig(n_variates=21, lookback=LOOKBACK, horizon=HORIZON, embed_dim=EMBED)
     model = AttentionMambaModel(config, np.random.default_rng(1))
     train(model, dataset, TrainRunConfig(epochs=2, batch_size=32, lr=1e-3, seed=1))
-    return digest(t.data for t in model.parameters())
+    return digest(t.data for _, t in model.named_parameters())
 
 
 def main() -> None:
-    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}, "
-          f"numpy {np.__version__}")
+    print(blas_line())
     for batch, n_variates in ((32, 21), (16, 321)):
         forward, grads = step_hashes(batch, n_variates)
         print(f"B={batch}, N={n_variates}: forward {forward}, gradients {grads}")

@@ -4,10 +4,10 @@ Run it from the repository root on two trees and compare the lines:
 
     python3 tests/step_memory.py
 
-The first line names the BLAS threading and the numpy version, as
-``tests/bit_hashes.py`` prints them. Then, at B=32, N=21 and at B=16,
-N=321, on ``bit_hashes.py``'s model (``default_rng(11)``, E=128, L=T=96)
-and float32 standard-normal inputs and targets from ``default_rng(5)``:
+The first line names the BLAS threading and the numpy version, by
+``tests/bit_hashes.py``'s ``blas_line``. Then, at B=32, N=21 and at B=16,
+N=321, on the model, inputs and targets of ``bit_hashes.py``'s
+``step_fixture``:
 
 - tape: the MiB the forward's output holds when the forward returns, its
   graph's saved arrays included, the fusion's trace dropped;
@@ -24,19 +24,11 @@ collect it.
 
 from __future__ import annotations
 
-import os
-import sys
 import tracemalloc
-from pathlib import Path
 
-import numpy as np
+from bit_hashes import blas_line, step_fixture   # first: it puts src/ on sys.path
+from attention_mamba.training import AdamState, _train_step
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from attention_mamba.model import AttentionMambaModel, ModelConfig  # noqa: E402
-from attention_mamba.training import AdamState, _train_step  # noqa: E402
-
-EMBED, LOOKBACK, HORIZON = 128, 96, 96
 MIB = 2.0**20
 
 
@@ -53,11 +45,7 @@ def traced(fn):
 
 def measure(batch: int, n_variates: int) -> tuple[float, float, float]:
     """The tape, the forward's peak and a train step's peak, in MiB."""
-    config = ModelConfig(n_variates=n_variates, lookback=LOOKBACK, horizon=HORIZON, embed_dim=EMBED)
-    model = AttentionMambaModel(config, np.random.default_rng(11))
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((batch, LOOKBACK, n_variates)).astype(np.float32)
-    y = rng.standard_normal((batch, HORIZON, n_variates)).astype(np.float32)
+    model, x, y = step_fixture(batch, n_variates)
     yhat, tape, forward_peak = traced(lambda: model.forward(x)[0])
     del yhat
     named = model.named_parameters()
@@ -68,8 +56,7 @@ def measure(batch: int, n_variates: int) -> tuple[float, float, float]:
 
 
 def main() -> None:
-    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}, "
-          f"numpy {np.__version__}")
+    print(blas_line())
     for batch, n_variates in ((32, 21), (16, 321)):
         tape, forward_peak, step_peak = measure(batch, n_variates)
         print(f"B={batch}, N={n_variates}: tape {tape:.1f} MiB, forward peak "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attention_mamba import mamba, tensor_core
+from attention_mamba.layers import named_tensors
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
 from helpers import concatenate, exp, kept_bytes, neg, numerical_grad, rel_error, softplus
@@ -421,13 +422,12 @@ class TestMambaForward:
     def test_conv_width_clamped_to_tokens(self):
         for n_tokens, width in ((4, 4), (CONV_WIDTH, CONV_WIDTH), (40, CONV_WIDTH)):
             p = MambaParams.init(8, n_tokens, np.random.default_rng(0))
-            assert p.conv_weight.data.shape[1] == width
+            assert p.conv.weight.data.shape[1] == width
 
     def test_zero_input_zero_biases_gives_zero(self):
         p = tiny_params()
-        for layer in (p.in_proj, p.x_proj, p.dt_proj, p.out_proj):
+        for layer in (p.in_proj, p.x_proj, p.dt_proj, p.out_proj, p.conv):
             layer.bias.data[:] = 0.0
-        p.conv_bias.data[:] = 0.0
         out = mamba_forward(Tensor(np.zeros((2, 4, 8))), p)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4, 8)))
 
@@ -445,8 +445,8 @@ class TestMambaForward:
     def test_full_gradient_check_tiny_dims(self):
         p = tiny_params()
         x = RNG.uniform(-1, 1, (1, 4, 8))
-        names = [n for n, _ in p.named_parameters()]
-        params = [t for _, t in p.named_parameters()]
+        names = [n for n, _ in named_tensors(p)]
+        params = [t for _, t in named_tensors(p)]
         probe = np.random.default_rng(9).standard_normal((1, 4, 8))
 
         loss = (mamba_forward(Tensor(x), p) * Tensor(probe)).sum()

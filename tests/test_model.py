@@ -143,7 +143,16 @@ class TestForward:
         model = tiny_model()
         x = np.zeros((1, 8, 3))
         x[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="not finite as float64"):
+            model.forward(x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_value_not_finite_in_model_dtype_rejected(self, value):
+        # 1e39 is finite in float64 but past float32's range
+        model = tiny_model(config=replace(TINY, precision="32"))
+        x = np.zeros((1, 8, 3))
+        x[0, 0, 0] = value
+        with pytest.raises(ValueError, match="not finite as float32"):
             model.forward(x)
 
     def test_wrong_shape_rejected(self):
@@ -164,9 +173,9 @@ class TestForward:
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        got = gradients((yhat * probe).sum(), model.parameters())
+        got = gradients((yhat * probe).sum(), [t for _, t in model.named_parameters()])
         fresh = tiny_model(seed=4)
-        want = gradients((fresh.forward(x)[0] * probe).sum(), fresh.parameters())
+        want = gradients((fresh.forward(x)[0] * probe).sum(), [t for _, t in fresh.named_parameters()])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -306,6 +315,11 @@ class TestParameterCount:
             + (E * T + T)                           # head
         )
         assert sum(t.data.size for _, t in model.named_parameters()) == expected
+
+    def test_tensor_set_on_a_block_is_a_parameter(self):
+        model = tiny_model()
+        model.mamba_fwd.extra = Tensor(np.zeros(2), requires_grad=True)
+        assert dict(model.named_parameters())["mamba_fwd.extra"] is model.mamba_fwd.extra
 
     def test_deterministic(self):
         # load_model builds with a fixed seed and fills in the saved tensors

@@ -166,7 +166,7 @@ class TestTrain:
 
         def one_step():
             diff = model.forward(x)[0] - Tensor(y)
-            gradients((diff * diff).mean(), model.parameters())
+            gradients((diff * diff).mean(), [t for _, t in model.named_parameters()])
 
         step = traced_peak(one_step)
         run = traced_peak(lambda: train(model, ds, TrainRunConfig(epochs=1, batch_size=16)))
@@ -384,7 +384,7 @@ class TestEvaluate:
             err = model.forward(xs[i:i + 5])[0].data.astype(np.float64) - ys[i:i + 5]
             sq += float((err**2).sum())
             ab += float(np.abs(err).sum())
-        params = model.parameters()
+        params = [t for _, t in model.named_parameters()]
         gradients(model.forward(xs[:2])[0].sum(), params)
         before = [(p.grad, p.grad.copy()) for p in params]
         taped = []
@@ -405,6 +405,11 @@ class TestEvaluate:
         windows = tiny_dataset(horizon=1).windows("test")
         with pytest.raises(DataError, match=r"targets have shape \(8, 1, 3\), forecasts \(8, 4, 3\)"):
             evaluate_mse_mae(tiny_model(), windows, 8)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_refused(self, batch_size):
+        with pytest.raises(ConfigError, match=f"^batch_size must be an integer >= 1, got {batch_size}$"):
+            evaluate_mse_mae(tiny_model(), tiny_dataset().windows("test"), batch_size)
 
     def test_no_windows_give_nan(self):
         mse, mae = evaluate_mse_mae(tiny_model(), [], 8)
