@@ -231,7 +231,11 @@ class SplitDataset:
 
 def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset:
     """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)
-    over ``series.values`` itself, not a copy."""
+    over ``series.values`` itself, not a copy. A ``lookback`` or ``horizon``
+    that is not an integer >= 1 raises DataError."""
+    for name, value in (("lookback", lookback), ("horizon", horizon)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DataError(f"{name} must be a positive integer, got {value!r}")
     total = series.values.shape[0]
     if total < lookback + horizon:
         raise DataError(

@@ -39,7 +39,8 @@ STATE_DIM = 16     # states S per channel
 @dataclass
 class MambaParams:
     """Parameters of one scan direction. The field order is the checkpoint
-    order: ``named_tensors`` walks the fields as declared."""
+    order: ``named_tensors`` walks the fields as declared. The statement
+    order of ``init`` is the RNG draw order, which differs from it."""
 
     in_proj: LinearLayer    # E -> 2*C (branch and gate)
     x_proj: LinearLayer     # C -> dt_rank + 2*S
@@ -63,24 +64,18 @@ class MambaParams:
         bound = 1.0 / math.sqrt(width)
         conv_weight = rng.uniform(-bound, bound, size=(channels, width))
         conv_bias = rng.uniform(-bound, bound, size=(channels,))
-
         dt_proj = LinearLayer.init(dt_rank, channels, rng)
         # bias such that softplus(bias) lands log-uniformly in [DT_INIT_MIN, DT_INIT_MAX]
         dt = np.exp(rng.uniform(math.log(DT_INIT_MIN), math.log(DT_INIT_MAX), size=channels))
         dt_proj.bias.data[:] = dt + np.log(-np.expm1(-dt))
+        in_proj = LinearLayer.init(embed_dim, 2 * channels, rng)
+        x_proj = LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng)
+        out_proj = LinearLayer.init(channels, embed_dim, rng)
 
+        conv = LinearLayer(Tensor(conv_weight, requires_grad=True), Tensor(conv_bias, requires_grad=True))
         a_log = np.log(np.tile(np.arange(1, STATE_DIM + 1, dtype=np.float64), (channels, 1)))
-
-        return MambaParams(   # keywords in draw order, which is not the field order
-            in_proj=LinearLayer.init(embed_dim, 2 * channels, rng),
-            conv=LinearLayer(Tensor(conv_weight, requires_grad=True),
-                             Tensor(conv_bias, requires_grad=True)),
-            x_proj=LinearLayer.init(channels, dt_rank + 2 * STATE_DIM, rng),
-            dt_proj=dt_proj,
-            A_log=Tensor(a_log, requires_grad=True),
-            D_skip=Tensor(np.ones(channels), requires_grad=True),
-            out_proj=LinearLayer.init(channels, embed_dim, rng),
-        )
+        return MambaParams(in_proj, x_proj, dt_proj, out_proj, conv,
+                           Tensor(a_log, requires_grad=True), Tensor(np.ones(channels), requires_grad=True))
 
 
 def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:

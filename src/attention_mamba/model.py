@@ -63,9 +63,6 @@ class ModelConfig:
     def dtype(self):
         return np.float32 if self.precision == "32" else np.float64
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         if not isinstance(d, dict):
@@ -93,8 +90,8 @@ class AttentionMambaModel:
     """The full forecaster; parameters are plain tensors on the tape."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        """Draw every parameter in float64, then cast it once to ``config.dtype``.
-        The blocks are set in checkpoint order."""
+        """Draw every parameter in float64, then cast it once to ``config.dtype``
+        by ``load_parameters``. The blocks are set in checkpoint order."""
         self.config = config
         self.revin = RevIN(config.n_variates)
         self.embed = LinearLayer.init(config.lookback, config.embed_dim, rng)
@@ -104,12 +101,27 @@ class AttentionMambaModel:
             MambaParams.init(config.embed_dim, config.n_variates, rng) for _ in range(2)
         )
         self.head = LinearLayer.init(config.embed_dim, config.horizon, rng)
-        for _, t in self.named_parameters():
-            t.data = t.data.astype(config.dtype, copy=False)
+        self.load_parameters({name: t.data for name, t in self.named_parameters()})
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """Every parameter under its checkpoint name, by ``named_tensors``."""
         return named_tensors(self)
+
+    def load_parameters(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Replace every parameter by the array of its name, cast to ``config.dtype``
+        (no copy where the dtype matches); return the arrays the model has no
+        name for. A parameter missing from ``arrays`` or at another shape
+        raises CheckpointError before any is replaced."""
+        named = dict(self.named_parameters())
+        for name, t in named.items():
+            if name not in arrays:
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+            if arrays[name].shape != t.data.shape:
+                raise CheckpointError(f"checkpoint tensor {name} has shape {arrays[name].shape}, "
+                                      f"model expects {t.data.shape}")
+        for name, t in named.items():
+            t.data = arrays[name].astype(self.config.dtype, copy=False)
+        return {name: array for name, array in arrays.items() if name not in named}
 
     # -- forward ---------------------------------------------------------------
 
@@ -157,7 +169,7 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray]) -
     CheckpointError naming the first such tensor, and no file is written:
     ``load_checkpoint`` would refuse it.
     """
-    record = config.to_dict() | V1_FIXED_ENTRIES
+    record = asdict(config) | V1_FIXED_ENTRIES
     config_blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
     with np.errstate(over="ignore"):   # a value past float32's range becomes inf, refused below
         arrays = {name: np.ascontiguousarray(array, dtype="<f4") for name, array in tensors.items()}
@@ -250,22 +262,8 @@ def save_model(path, model: AttentionMambaModel) -> None:
 
 
 def load_model(path) -> tuple[AttentionMambaModel, dict[str, np.ndarray]]:
-    """Rebuild a model from a checkpoint; unknown names come back as extras."""
+    """Rebuild a model from a checkpoint: construct it from the config, then
+    ``load_parameters``; unknown names come back as extras."""
     config, tensors = load_checkpoint(path)
     model = AttentionMambaModel(config, np.random.default_rng(0))
-    extras: dict[str, np.ndarray] = {}
-    known = dict(model.named_parameters())
-    for name, array in tensors.items():
-        if name in known:
-            if known[name].data.shape != array.shape:
-                raise CheckpointError(
-                    f"checkpoint tensor {name} has shape {array.shape}, "
-                    f"model expects {known[name].data.shape}"
-                )
-            known[name].data = array.astype(config.dtype, copy=False)   # load_checkpoint already copied it
-        else:
-            extras[name] = array
-    missing = set(known) - set(tensors)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)}")
-    return model, extras
+    return model, model.load_parameters(tensors)

@@ -68,7 +68,7 @@ def adam_step(named_params, grads, state: AdamState) -> None:
         v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data -= (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(tensor.data.dtype)
+        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_global_norm(grads) -> float:
@@ -114,11 +114,6 @@ class TrainResult:
 
 def _snapshot(model: AttentionMambaModel) -> dict:
     return {name: t.data.copy() for name, t in model.named_parameters()}
-
-
-def _restore(model: AttentionMambaModel, snapshot: dict) -> None:
-    for name, t in model.named_parameters():
-        t.data = snapshot[name]
 
 
 def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
@@ -177,10 +172,11 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
     dataset's own series, then cast to the model dtype; deterministic for a
     fixed seed.
 
-    Restores the best-validation checkpoint into the model on every exit. A
-    non-finite training loss, gradient or validation MSE, or a step size that
-    is not a positive number (NonPositiveStepError from the scan), ends the run
-    flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
+    Restores the best-validation checkpoint into the model on every exit,
+    through ``load_parameters``. A non-finite training loss, gradient or
+    validation MSE, or a step size that is not a positive number
+    (NonPositiveStepError from the scan), ends the run flagged as diverged;
+    ``PATIENCE`` stale epochs end it as stopped early.
     Each step's graph dies with the frame of ``_train_step``, so one tape is
     alive at a time, and the validation pass builds none. A dataset whose
     (lookback, horizon) or variate count is not the model's raises DataError.
@@ -245,5 +241,5 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
                 log.info("early stop at epoch %d (no val improvement for %d epochs)", epoch, PATIENCE)
                 break
 
-    _restore(model, best_params)
+    model.load_parameters(best_params)
     return TrainResult(curve, best_epoch, best_val, diverged, bad_epochs >= PATIENCE)

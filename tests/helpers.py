@@ -1,8 +1,8 @@
-"""Shared test oracles: central finite differences, gradient checks; the
-tape ops that no model path runs: ``concatenate``, ``neg``, ``exp`` and
-``softplus``, which the per-token scan oracle needs; ``conv1d_per_tap``,
-the causal convolution written one tap at a time; and ``kept_bytes``, what
-a forward leaves allocated."""
+"""Shared test oracles: central finite differences, gradient checks of
+tape ops and of named parameters; the tape ops that no model path runs:
+``concatenate``, ``neg``, ``exp`` and ``softplus``, which the per-token
+scan oracle needs; ``conv1d_per_tap``, the causal convolution written one
+tap at a time; and ``kept_bytes``, what a forward leaves allocated."""
 
 from __future__ import annotations
 
@@ -113,6 +113,25 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-12)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def check_parameter_gradients(loss, named, tol: float) -> None:
+    """Check the tape gradients of the scalar ``loss()`` with respect to each
+    ``(name, Tensor)`` of ``named`` against central finite differences. Each
+    parameter's ``.data`` is swapped for the perturbed array while ``loss``
+    runs, then put back."""
+    analytic = gradients(loss(), [t for _, t in named])
+    for (name, tensor), got in zip(named, analytic):
+        base = tensor.data.copy()
+
+        def f(v):
+            tensor.data = v
+            out = loss().item()
+            tensor.data = base
+            return out
+
+        err = rel_error(got, numerical_grad(f, base))
+        assert err < tol, f"{name}: rel err {err}"
 
 
 def gradcheck(op, arrays, tol: float = 1e-6, eps: float = 1e-5, seed: int = 0) -> float:

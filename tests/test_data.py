@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,12 @@ class TestSplits:
         series = RawSeries(values=np.zeros((5, 2)), names=["a", "b"])
         with pytest.raises(DataError, match="need at least lookback\\+horizon=6"):
             split_series(series, 4, 2)
+
+    @pytest.mark.parametrize("value", [-3, 0, 2.5, True])
+    @pytest.mark.parametrize("name", ["lookback", "horizon"])
+    def test_lengths_checked_on_entry(self, name, value):
+        with pytest.raises(DataError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            self.make(**{name: value})
 
     def test_unknown_split_rejected(self):
         with pytest.raises(ValueError, match="unknown split 'validation'"):

@@ -7,7 +7,8 @@ from attention_mamba import mamba, tensor_core
 from attention_mamba.layers import named_tensors
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
 from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
-from helpers import concatenate, exp, kept_bytes, neg, numerical_grad, rel_error, softplus
+from helpers import (check_parameter_gradients, concatenate, exp, gradcheck, kept_bytes, neg, numerical_grad,
+                     rel_error, softplus)
 
 RNG = np.random.default_rng(31)
 
@@ -182,23 +183,8 @@ class TestSelectiveScan:
 
     def test_gradients_vs_finite_differences(self):
         # all six inputs, dt and A_log through the softplus and exp the node forms
-        rng = np.random.default_rng(3)
-        arrays = random_scan_inputs(rng, batch=1, channels=2, n=4, state=3)
-        probe = rng.standard_normal(arrays[0].shape)
-
-        def loss_from(tensors):
-            out = selective_scan(*tensors)
-            return (out * Tensor(probe)).sum()
-
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        analytic = gradients(loss_from(leaves), leaves)
-        for idx in range(len(arrays)):
-            def f(v, idx=idx):
-                args = [Tensor(v if j == idx else arrays[j]) for j in range(len(arrays))]
-                return loss_from(args).item()
-
-            err = rel_error(analytic[idx], numerical_grad(f, arrays[idx]))
-            assert err < 1e-6, f"scan input {idx}: rel err {err}"
+        arrays = random_scan_inputs(np.random.default_rng(3), batch=1, channels=2, n=4, state=3)
+        gradcheck(selective_scan, arrays, tol=1e-6)
 
 
 class TestFusedScanOracle:
@@ -445,24 +431,9 @@ class TestMambaForward:
     def test_full_gradient_check_tiny_dims(self):
         p = tiny_params()
         x = RNG.uniform(-1, 1, (1, 4, 8))
-        names = [n for n, _ in named_tensors(p)]
-        params = [t for _, t in named_tensors(p)]
         probe = np.random.default_rng(9).standard_normal((1, 4, 8))
-
-        loss = (mamba_forward(Tensor(x), p) * Tensor(probe)).sum()
-        analytic = gradients(loss, params)
-
-        for name, tensor, got in zip(names, params, analytic):
-            base = tensor.data.copy()
-
-            def f(v):
-                tensor.data = v
-                out = (mamba_forward(Tensor(x), p) * Tensor(probe)).sum().item()
-                tensor.data = base
-                return out
-
-            err = rel_error(got, numerical_grad(f, base))
-            assert err < 1e-4, f"{name}: rel err {err}"
+        check_parameter_gradients(lambda: (mamba_forward(Tensor(x), p) * Tensor(probe)).sum(),
+                                  named_tensors(p), tol=1e-4)
 
 
 class TestBidirectional:

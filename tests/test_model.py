@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from attention_mamba.model import (
     save_model,
 )
 from attention_mamba.tensor_core import ShapeError, Tensor, gradients, no_grad, slice_axis
-from helpers import concatenate, numerical_grad, rel_error
+from helpers import check_parameter_gradients, concatenate, rel_error
 
 RNG = np.random.default_rng(41)
 
@@ -72,10 +72,10 @@ class TestConfig:
 
     def test_round_trips_through_dict(self):
         cfg = ModelConfig(n_variates=7, lookback=96, horizon=24, embed_dim=32)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
     def test_unknown_keys_rejected(self):
-        d = TINY.to_dict() | {"dropout": 0.1, "heads": 4}
+        d = asdict(TINY) | {"dropout": 0.1, "heads": 4}
         with pytest.raises(ConfigError, match=r"\['dropout', 'heads'\]"):
             ModelConfig.from_dict(d)
 
@@ -88,7 +88,7 @@ class TestConfig:
                                            ("lookback", 8.0), ("precision", 64)])
     def test_wrong_value_type_named(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            ModelConfig.from_dict(TINY.to_dict() | {key: value})
+            ModelConfig.from_dict(asdict(TINY) | {key: value})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -269,19 +269,7 @@ class TestForward:
             diff = yhat - Tensor(y)
             return (diff * diff).mean()
 
-        named = model.named_parameters()
-        analytic = gradients(loss_value(), [t for _, t in named])
-        for (name, tensor), got in zip(named, analytic):
-            base = tensor.data.copy()
-
-            def f(v):
-                tensor.data = v
-                out = loss_value().item()
-                tensor.data = base
-                return out
-
-            err = rel_error(got, numerical_grad(f, base))
-            assert err < 1e-4, f"{name}: rel err {err}"
+        check_parameter_gradients(loss_value, model.named_parameters(), tol=1e-4)
 
 
 class TestParameterCount:
@@ -525,6 +513,20 @@ class TestCheckpointErrors:
         rewrite_config(path, lambda d: sorted(d))
         with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
+
+    def test_load_parameters_refuses_before_replacing(self):
+        model = tiny_model()
+        named = model.named_parameters()
+        before = [(t, t.data, t.data.tobytes()) for _, t in named]
+        good = {name: np.zeros_like(t.data) for name, t in named}
+        misshaped = good | {"head.bias": np.zeros(5)}
+        missing = {name: a for name, a in good.items() if name != "attn.q_proj.weight"}
+        for arrays, message in ((misshaped, r"head.bias has shape \(5,\)"),
+                                (missing, "missing parameter 'attn.q_proj.weight'")):
+            with pytest.raises(CheckpointError, match=message):
+                model.load_parameters(arrays)
+            for (_, t), (tensor, data, blob) in zip(model.named_parameters(), before):
+                assert t is tensor and t.data is data and t.data.tobytes() == blob
 
     def test_config_record_not_json_rejected(self, tmp_path):
         path = self.small_checkpoint(tmp_path)

@@ -3,8 +3,8 @@ import pytest
 
 from attention_mamba import pooled_attention
 from attention_mamba.pooled_attention import PooledAttentionParams, attention_weights, fuse_pool
-from attention_mamba.tensor_core import ShapeError, Tensor, backward, count_macs, gradients, no_grad
-from helpers import numerical_grad, rel_error
+from attention_mamba.tensor_core import ShapeError, Tensor, backward, count_macs, no_grad
+from helpers import check_parameter_gradients
 
 RNG = np.random.default_rng(23)
 
@@ -278,19 +278,8 @@ class TestAttentionWeights:
         params = make_params(4, 8)
         x = RNG.uniform(-1, 1, (2, 4, 8))
 
-        loss = attention_weights(Tensor(x), params).sum()
-        analytic = gradients(loss, [params.q_proj.weight])[0]
-
-        base = params.q_proj.weight.data.copy()
-
-        def f(w):
-            params.q_proj.weight.data = w
-            out = attention_weights(Tensor(x), params).sum().item()
-            params.q_proj.weight.data = base
-            return out
-
-        numeric = numerical_grad(f, base)
-        assert rel_error(analytic, numeric) < 1e-4
+        check_parameter_gradients(lambda: attention_weights(Tensor(x), params).sum(),
+                                  [("q_proj.weight", params.q_proj.weight)], tol=1e-4)
 
     def test_score_stage_macs_independent_of_n(self, monkeypatch):
         # counted as the bench counts them: the MACs of the module's matmul
