@@ -90,8 +90,9 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Elements of one [tokens, B, S, C] run of the selective scan: 1-2 MB, so a
-# run's decays, states and gradients stay in cache between passes.
+# The least slab of [tokens, B, S, C] elements that a run of the selective
+# scan fills, 1-2 MB, so small batches keep long runs. Not the run's size: a
+# run is also at least floor(sqrt(N)) tokens long, which can fill more.
 _SCAN_RUN_ELEMENTS = 1 << 18
 
 
@@ -605,16 +606,19 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     -104 in float32, or -745 in float64.
 
     The states are channels-last, [B, S, C] a token, and are built in runs
-    of tokens small enough to stay in cache. For each run, one helper
-    builds the decays exp(delta_t * A^T) and the drives into [k, B, S, C]
-    slabs, then runs the recurrence from the previous run's last state. The
-    forward reads each run out with one stacked matmul
-    [k, B, 1, S] @ [k, B, S, C]. The closure keeps the arrays of u, dt, B,
-    C and D, delta, A^T and the last state of every run but the last,
-    [runs - 1, B, S, C], which no run starts from; never the states of
-    every token. The backward walks the runs in reverse. It rebuilds each
-    run's decays and states from the previous run's kept end state, then
-    walks the run's tokens in reverse, forming one token's
+    of k = max(floor(sqrt(N)), _SCAN_RUN_ELEMENTS // (B*S*C), 1) tokens,
+    the last run what is left: as many tokens as a cache-sized slab holds,
+    and at least floor(sqrt(N)). For each run, one helper builds the decays
+    exp(delta_t * A^T) and the drives into [k, B, S, C] slabs, then runs
+    the recurrence from the previous run's last state. The forward reads
+    each run out with one stacked matmul [k, B, 1, S] @ [k, B, S, C]. The
+    closure keeps the arrays of u, dt, B, C and D, delta, A^T and the last
+    state of every run but the last, [runs - 1, B, S, C], which no run
+    starts from: at most ceil(N / floor(sqrt(N))) - 1 < 2 * sqrt(N) states,
+    never the states of every token. The backward walks the runs in
+    reverse. It rebuilds each run's decays and states from the previous
+    run's kept end state, then walks the run's tokens in reverse, forming
+    one token's
         dh_t = C_t^T g_t + decay_{t+1} * dh_{t+1}
     at a time and reading the gradients of B_t and of delta_t * u_t off it
     there. So it holds one run's decay and state slabs and one token's dh,
@@ -628,7 +632,9 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     none of them. The backward writes in place only into its own copies and
     buffers, never into an input's array or into what the closure keeps. A's
     gradient sums over the strided view of delta, whose order of summation
-    the bits depend on.
+    the bits depend on, and adds up one partial sum a run: of all the
+    outputs and gradients, only A_log's bits depend on how the tokens are
+    cut into runs.
 
     The readout by matmul sums over S in BLAS order, so outputs differ from
     a multiply-then-sum at rounding level. The forward counts 2*N*B*S*C
@@ -654,7 +660,7 @@ def selective_scan(u: Tensor, dt: Tensor, A_log: Tensor, B_ssm: Tensor,
     u_n = u_data.transpose(1, 0, 2)                          # [N, B, C] view
     delta_n, b_n, c_n = (np.ascontiguousarray(a.transpose(1, 0, 2))
                          for a in (delta, b_data, c_data))
-    span = max(1, _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
+    span = max(1, math.isqrt(n_tokens), _SCAN_RUN_ELEMENTS // max(1, batch * channels * state_dim))
     runs = [(lo, min(lo + span, n_tokens)) for lo in range(0, n_tokens, span)]
     slab_shape = (min(span, n_tokens), batch, state_dim, channels)
     # the end states of every run but the last, which no run starts from

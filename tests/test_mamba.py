@@ -73,9 +73,17 @@ def tape_nodes(out):
     return len(seen)
 
 
-# Token-run sizes for the fused scan: one token per run, runs that split
-# mid-batch, and the default, under which these small inputs form one run.
-RUN_SIZES = (1, 37, tensor_core._SCAN_RUN_ELEMENTS)
+# Run lengths, in tokens, that the fused scan's slab term asks for. Runs
+# are at least floor(sqrt(N)) tokens long, so 1 gives runs of floor(sqrt(N))
+# tokens, one token where N <= 3; 5 gives longer runs for N < 36, several
+# where N > 5; 16 gives one run at every N of the sweeps.
+RUN_TOKENS = (1, 5, 16)
+
+
+def set_run_tokens(monkeypatch, tokens, dims):
+    """Size the scan's slab to tokens tokens of dims' [B, S, C] state."""
+    monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS",
+                        tokens * dims["batch"] * dims["channels"] * dims["state"])
 
 
 def random_scan_inputs(rng, batch=1, channels=3, n=6, state=4):
@@ -196,7 +204,7 @@ class TestFusedScanOracle:
             yield dict(
                 batch=int(rng.integers(2, 4)),
                 channels=int(rng.integers(1, 9)),
-                n=1 if trial == 0 else int(rng.integers(1, 17)),
+                n=(1, 3)[trial] if trial < 2 else int(rng.integers(1, 17)),
                 state=int(rng.integers(1, 9)),
             )
 
@@ -212,9 +220,9 @@ class TestFusedScanOracle:
     def test_forward_bit_identical_to_tape_scan(self, dtype, monkeypatch):
         # byte equality, so a zero output must carry the reference's sign
         rng = np.random.default_rng(11)
-        for run in RUN_SIZES:
-            monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
+        for run in RUN_TOKENS:
             for dims, arrays in self.sweep_inputs(rng):
+                set_run_tokens(monkeypatch, run, dims)
                 tensors = [Tensor(a.astype(dtype)) for a in arrays]
                 got = selective_scan(*tensors).data
                 want = tape_scan_oracle(*tensors).data
@@ -223,9 +231,9 @@ class TestFusedScanOracle:
 
     def test_gradients_match_tape_scan_float64(self, monkeypatch):
         rng = np.random.default_rng(12)
-        for run in RUN_SIZES:
-            monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", run)
+        for run in RUN_TOKENS:
             for dims, arrays in self.sweep_inputs(rng):
+                set_run_tokens(monkeypatch, run, dims)
                 probe = Tensor(rng.standard_normal(arrays[0].shape))
                 grads = []
                 for scan in (selective_scan, tape_scan_oracle):
@@ -239,7 +247,9 @@ class TestFusedScanOracle:
         # the backward reads the forward's run-end states; it must not write
         # them. A sweep consumes its graph, so the scan node's closure is run
         # twice by hand, on the same upstream gradient, before any sweep.
-        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 3 * (3 * 4 * 2))   # 5 runs
+        # runs of 3 tokens, by the slab and by floor(sqrt(13)) alike: 5 runs,
+        # the last of one token
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 3 * (3 * 4 * 2))
         rng = np.random.default_rng(14)
         arrays = random_scan_inputs(rng, batch=3, channels=4, n=13, state=2)
         g = rng.standard_normal(arrays[0].shape)
@@ -255,7 +265,8 @@ class TestFusedScanOracle:
             assert a.tobytes() == b.tobytes(), f"input {idx}"
 
     def test_node_keeps_run_end_states_not_every_state(self, monkeypatch):
-        # 12 runs of 8 tokens; float64 states of every token would take every_state bytes
+        # runs of floor(sqrt(96)) = 9 tokens, past the slab's 8: 11 runs;
+        # float64 states of every token would take every_state bytes
         batch, channels, n_tokens, state = 2, 32, 96, 16
         monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", 8 * batch * channels * state)
         leaves = [Tensor(a, requires_grad=True) for a in random_scan_inputs(
@@ -303,6 +314,44 @@ class TestFusedScanOracle:
         # than half an end state in Python objects
         arrays = 2 * token_sized + state * channels * 8 + (n_runs - 1) * end_state
         assert arrays <= kept < arrays + end_state // 2, f"{kept} bytes kept, arrays {arrays}"
+
+    @pytest.mark.parametrize("n_tokens, n_ends", [(400, 19), (399, 20)])
+    def test_runs_of_at_least_sqrt_n_tokens_bound_the_end_states(self, n_tokens, n_ends, monkeypatch):
+        # a slab of one token's state asks for one-token runs, N - 1 end
+        # states; runs of floor(sqrt(N)) tokens keep ceil(N / floor(sqrt(N))) - 1
+        batch, channels, state = 2, 128, 16
+        monkeypatch.setattr(tensor_core, "_SCAN_RUN_ELEMENTS", batch * channels * state)
+        leaves = [Tensor(a, requires_grad=True) for a in random_scan_inputs(
+            np.random.default_rng(20), batch=batch, channels=channels, n=n_tokens, state=state)]
+        token_sized = n_tokens * batch * channels * 8
+        end_state = batch * state * channels * 8
+        kept = kept_bytes(lambda: selective_scan(*leaves))
+        # the output, delta = softplus(dt), A^T and the end states
+        ends = (kept - 2 * token_sized - state * channels * 8) / end_state
+        assert n_ends <= ends < n_ends + 0.5, f"{ends:.2f} end states kept"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_run_partition_moves_only_a_logs_gradient(self, dtype, monkeypatch):
+        # runs of 4 and of 7 tokens: A_log's gradient adds one partial sum a
+        # run, so only its bits may differ; every other value is formed token
+        # by token
+        dims = dict(batch=2, channels=8, n=16, state=4)
+        rng = np.random.default_rng(21)
+        arrays = [a.astype(dtype) for a in random_scan_inputs(rng, **dims)]
+        probe = Tensor(rng.standard_normal(arrays[0].shape).astype(dtype))
+        results = []
+        for tokens in (4, 7):
+            set_run_tokens(monkeypatch, tokens, dims)
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = selective_scan(*leaves)
+            results.append([out.data, *gradients((out * probe).sum(), leaves)])
+        names = ("output", "u", "dt", "A_log", "B", "C", "D")
+        for name, a, b in zip(names, *results):
+            if name == "A_log":
+                err = rel_error(a, b)
+                assert err < 50 * np.finfo(dtype).eps, f"A_log: rel err {err}"
+            else:
+                assert a.tobytes() == b.tobytes(), name
 
     def test_zero_tokens_give_empty_outputs_and_gradients(self):
         arrays = random_scan_inputs(np.random.default_rng(18), batch=2, channels=3, n=0, state=4)
