@@ -35,6 +35,12 @@ class NonNumericCellError(DataError):
     pass
 
 
+def check_int(name: str, value, low: int, error: type[ValueError]) -> None:
+    """Raise `error` unless value is an int, not a bool, and >= low."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class RawSeries:
     """A rectangular multivariate series, one row per timestep."""
@@ -187,8 +193,8 @@ def window_starts(total: int, lookback: int, horizon: int,
     starts at lookback+horizon-1 or later; the region (0, R) of a series of
     length R yields R - L - T + 1 windows. Too-short inputs give none.
     """
-    if lookback < 1 or horizon < 1:
-        raise DataError(f"lookback and horizon must be >= 1, got {lookback}, {horizon}")
+    check_int("lookback", lookback, 1, DataError)
+    check_int("horizon", horizon, 1, DataError)
     start, end = region
     first = max(0, start - lookback - horizon + 1)
     last = min(end, total) - lookback - horizon + 1
@@ -233,9 +239,8 @@ def split_series(series: RawSeries, lookback: int, horizon: int) -> SplitDataset
     """Carve chronological train/val/test ranges in ``SPLIT_RATIOS`` (7:1:2)
     over ``series.values`` itself, not a copy. A ``lookback`` or ``horizon``
     that is not an integer >= 1 raises DataError."""
-    for name, value in (("lookback", lookback), ("horizon", horizon)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DataError(f"{name} must be a positive integer, got {value!r}")
+    check_int("lookback", lookback, 1, DataError)
+    check_int("horizon", horizon, 1, DataError)
     total = series.values.shape[0]
     if total < lookback + horizon:
         raise DataError(

@@ -1,8 +1,8 @@
 """Selective state-space layer and its bidirectional wrapper.
 
-The bidirectional value is mamba(x) + reverse(mamba(reverse(x))): the
-reversed scan's output is flipped back, so every output token sees every
-input token. Tokens are variates; a form that left some unseen would let a
+The bidirectional value is mamba(x) + mamba(x[:, ::-1])[:, ::-1]: the
+scan over the flipped tokens has its output flipped back, so every output
+token sees every input token. Tokens are variates; a form that left some unseen would let a
 variate's column position decide what it can mix in.
 
 One direction: input projection into branch and gate, depthwise causal
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import LinearLayer, linear
-from .tensor_core import Tensor, conv1d_depthwise_causal, reverse, selective_scan, silu_gate, slice_axis
+from .tensor_core import Tensor, conv1d_depthwise_causal, selective_scan, silu_gate
 
 DT_INIT_MIN = 1e-3
 DT_INIT_MAX = 1e-1
@@ -83,15 +83,14 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
     channels, dt_rank = p.out_proj.weight.data.shape[0], p.dt_proj.weight.data.shape[0]
 
     proj = linear(x, p.in_proj)                          # [B, N, 2C]
-    branch = slice_axis(proj, 2, 0, channels)
-    gate = slice_axis(proj, 2, channels, 2 * channels)
+    branch, gate = proj[..., :channels], proj[..., channels:]
 
     u = conv1d_depthwise_causal(branch, p.conv.weight, p.conv.bias).silu()   # [B, N, C]
 
     feats = linear(u, p.x_proj)                          # [B, N, dt_rank + 2S]
-    dt_pre = slice_axis(feats, 2, 0, dt_rank)
-    b_ssm = slice_axis(feats, 2, dt_rank, dt_rank + STATE_DIM)
-    c_ssm = slice_axis(feats, 2, dt_rank + STATE_DIM, dt_rank + 2 * STATE_DIM)
+    dt_pre = feats[..., :dt_rank]
+    b_ssm = feats[..., dt_rank:dt_rank + STATE_DIM]
+    c_ssm = feats[..., dt_rank + STATE_DIM:]
 
     dt = linear(dt_pre, p.dt_proj)                       # [B, N, C]
 
@@ -101,12 +100,11 @@ def mamba_forward(x: Tensor, p: MambaParams) -> Tensor:
 
 def bidirectional_mamba(x: Tensor, p_fwd: MambaParams, p_bwd: MambaParams) -> Tensor:
     """Sum a normal-order scan and a reversed-order scan flipped back:
-    value = mamba(x) + reverse(mamba(reverse(x))), the flip-back form of
+    value = mamba(x) + mamba(x[:, ::-1])[:, ::-1], the flip-back form of
     Vim (arXiv 2401.09417) and S-Mamba (arXiv 2403.11144).
 
     Output token i gets the forward scan over tokens [0, i] and the reversed
     scan over [i, N-1], so it sees every input token.
     """
     normal = mamba_forward(x, p_fwd)
-    reversed_branch = mamba_forward(reverse(x, 1), p_bwd)
-    return normal + reverse(reversed_branch, 1)
+    return normal + mamba_forward(x[:, ::-1], p_bwd)[:, ::-1]

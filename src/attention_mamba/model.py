@@ -12,6 +12,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
+from .data import check_int
 from .layers import LinearLayer, RevIN, linear, named_tensors
 from .mamba import CONV_WIDTH, EXPANSION, STATE_DIM, MambaParams, bidirectional_mamba
 from .pooled_attention import PooledAttentionParams, attention_weights
@@ -49,9 +50,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_variates", "lookback", "horizon", "embed_dim"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            check_int(name, getattr(self, name), 1, ConfigError)
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ConfigError(f"embed_dim must be a positive multiple of 4, got {self.embed_dim}")
         if self.lookback < 2:

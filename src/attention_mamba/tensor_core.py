@@ -46,8 +46,8 @@ documented contract, but the general rule is implemented because RevIN's
 What a closure keeps is what its backward reads; an array the backward can
 rebuild cheaply from the kept ones is rebuilt rather than kept, by the
 forward's operations on the same operands, so no bit of any gradient
-changes. ``+``, ``-``, ``reverse``, the transposes and the reductions keep
-only shapes, and ``slice_axis`` its index and its input's shape; ``*`` and
+changes. ``+``, ``-``, the transposes and the reductions keep only shapes,
+and indexing (``x[index]``) its index and its input's shape; ``*`` and
 ``/`` keep both operands, matmul both factors. ``affine`` keeps the weight
 and x as a 2-D matrix, a view unless x is strided. ``sqrt`` and
 ``softmax_last`` keep their outputs, ``gelu`` x and its normal cdf, and
@@ -72,8 +72,6 @@ __all__ = [
     "NonPositiveStepError",
     "GraphConsumedError",
     "matmul",
-    "slice_axis",
-    "reverse",
     "softmax_last",
     "silu_gate",
     "affine",
@@ -220,10 +218,26 @@ class Tensor:
 
     # -- shape ops ----------------------------------------------------------
 
+    def __getitem__(self, index) -> "Tensor":
+        """x[index] for an index of slices, of any step, and ``...`` only,
+        alone or in a tuple. The output is the view ``x.data[index]``. The
+        backward adds g into grad[index] through ``_acc``, so entries outside
+        the index keep their bits: a -0.0 there stays -0.0. Any other index
+        (an int, a list, an array, a bool) raises TypeError before a node is
+        made, as ``grad[index] += g`` would drop the gradient of a repeated
+        advanced index."""
+        parts = index if isinstance(index, tuple) else (index,)
+        if not all(isinstance(part, slice) or part is Ellipsis for part in parts):
+            raise TypeError(f"a Tensor index takes only slices and ..., got {index!r}")
+        shape = self.data.shape
+        def back(g, x):
+            _acc(x, g, index, shape)
+        return _node(self.data[index], (self,), back)
+
     def transpose_last2(self) -> "Tensor":
         """Swap the two trailing axes; materializes a contiguous copy."""
         def back(g, x):
-            _acc(x, np.ascontiguousarray(g.swapaxes(-1, -2)))
+            _acc(x, g.swapaxes(-1, -2))
         return _node(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,), back)
 
     # -- reductions ---------------------------------------------------------
@@ -434,50 +448,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product [..., M, K] @ [..., K, P].
 
-    Leading batch extents must agree or broadcast from 1. Counts M*K*P
-    multiply-accumulates per batch element when a counter is active.
+    The leading batch extents must be equal; none broadcasts. Counts
+    M*K*P multiply-accumulates per batch element when a counter is active.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ShapeError(f"matmul batch extents disagree: {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul batch extents disagree: {a.data.shape} @ {b.data.shape}") from exc
+    data = np.matmul(a.data, b.data)
     m, k = a.data.shape[-2], a.data.shape[-1]
     p = b.data.shape[-1]
     _add_macs(int(np.prod(data.shape[:-2], dtype=np.int64)) * m * k * p)
     a_data, b_data = a.data, b.data
     def back(g, a, b):
-        _acc(a, _unbroadcast(np.matmul(g, b_data.swapaxes(-1, -2)), a_data.shape))
-        _acc(b, _unbroadcast(np.matmul(a_data.swapaxes(-1, -2), g), b_data.shape))
+        _acc(a, np.matmul(g, b_data.swapaxes(-1, -2)))
+        _acc(b, np.matmul(a_data.swapaxes(-1, -2), g))
     return _node(data, (a, b), back)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis, keeping the axis.
-
-    The backward adds g into that slice of the parent's gradient, through
-    ``_acc``'s index (a zero gradient is made first if the parent has
-    none), instead of building a full-size gradient that is zero outside
-    the slice. Entries outside the slice keep their bits: a -0.0 there
-    stays -0.0.
-    """
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    shape = x.data.shape
-    def back(g, x):
-        _acc(x, g, sl, shape)
-    return _node(x.data[sl], (x,), back)
-
-
-def reverse(x: Tensor, axis: int) -> Tensor:
-    """Reverse along one axis; an exact involution."""
-    def back(g, x):
-        _acc(x, np.flip(g, axis=axis))
-    return _node(np.ascontiguousarray(np.flip(x.data, axis=axis)), (x,), back)
 
 
 def softmax_last(x: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, SplitDataset, WindowSample, window_starts
+from .data import DataError, SplitDataset, WindowSample, check_int, window_starts
 from .model import AttentionMambaModel, ConfigError
 from .tensor_core import NonPositiveStepError, Tensor, gradients, no_grad
 
@@ -81,11 +81,6 @@ def clip_global_norm(grads) -> float:
     return total
 
 
-def _check_int(name: str, value, low: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass
 class TrainRunConfig:
     """Run settings; the model carries the precision, the module constants the rest."""
@@ -97,7 +92,7 @@ class TrainRunConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            _check_int(name, getattr(self, name), low)
+            check_int(name, getattr(self, name), low, ConfigError)
         lr = self.lr
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
             raise ConfigError(f"lr must be a finite number > 0, got {lr!r}")
@@ -127,7 +122,7 @@ def evaluate_mse_mae(model: AttentionMambaModel, windows: list[WindowSample],
     Targets that are not the forecast's shape raise DataError, and a
     ``batch_size`` that is not an integer >= 1 raises ConfigError.
     """
-    _check_int("batch_size", batch_size, 1)
+    check_int("batch_size", batch_size, 1, ConfigError)
     if not windows:
         return float("nan"), float("nan")
     sq = 0.0

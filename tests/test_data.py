@@ -210,8 +210,13 @@ class TestMakeWindows:
             assert 20 <= last_target < 30
 
     def test_invalid_lengths_rejected(self):
-        with pytest.raises(DataError, match="lookback and horizon must be >= 1"):
+        with pytest.raises(DataError, match=re.escape("lookback must be an integer >= 1, got 0")):
             make_windows(np.zeros((10, 1)), 0, 2, (0, 10))
+
+    @pytest.mark.parametrize("lookback", [2.5, True])
+    def test_lookback_not_an_int_rejected(self, lookback):
+        with pytest.raises(DataError, match=re.escape(f"lookback must be an integer >= 1, got {lookback!r}")):
+            make_windows(np.zeros((50, 3)), lookback, 3, (0, 50))
 
 
 class TestSplits:
@@ -251,7 +256,7 @@ class TestSplits:
     @pytest.mark.parametrize("value", [-3, 0, 2.5, True])
     @pytest.mark.parametrize("name", ["lookback", "horizon"])
     def test_lengths_checked_on_entry(self, name, value):
-        with pytest.raises(DataError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+        with pytest.raises(DataError, match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
             self.make(**{name: value})
 
     def test_unknown_split_rejected(self):

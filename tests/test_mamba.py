@@ -6,7 +6,7 @@ import pytest
 from attention_mamba import mamba, tensor_core
 from attention_mamba.layers import named_tensors
 from attention_mamba.mamba import CONV_WIDTH, MambaParams, bidirectional_mamba, mamba_forward, selective_scan
-from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul, reverse, slice_axis
+from attention_mamba.tensor_core import NonPositiveStepError, ShapeError, Tensor, gradients, matmul
 from helpers import (check_parameter_gradients, concatenate, exp, gradcheck, kept_bytes, neg, numerical_grad,
                      rel_error, softplus)
 
@@ -44,10 +44,10 @@ def tape_scan_reference(u, delta, A, B_ssm, C_ssm, D_skip):
     h = Tensor(np.zeros((batch, state_dim, channels), dtype=u.data.dtype))
     outputs = []
     for t in range(n_tokens):
-        delta_t = slice_axis(delta, 1, t, t + 1)   # [B, 1, C]
-        u_t = slice_axis(u, 1, t, t + 1)           # [B, 1, C]
-        b_t = slice_axis(B_ssm, 1, t, t + 1).transpose_last2()   # [B, S, 1]
-        c_t = slice_axis(C_ssm, 1, t, t + 1)       # [B, 1, S]
+        delta_t = delta[:, t:t + 1]                # [B, 1, C]
+        u_t = u[:, t:t + 1]                        # [B, 1, C]
+        b_t = B_ssm[:, t:t + 1].transpose_last2()  # [B, S, 1]
+        c_t = C_ssm[:, t:t + 1]                    # [B, 1, S]
         decay = exp(delta_t * a_t)                 # [B, S, C]
         drive = (delta_t * u_t) * b_t              # [B, S, C]
         h = decay * h + drive
@@ -407,7 +407,7 @@ class TestScanOperandLayout:
         for strided in (True, False):
             if strided:   # as the model slices B and C out of one projection
                 joint = Tensor(np.concatenate([b, c], axis=-1), requires_grad=True)
-                b_t, c_t = slice_axis(joint, 2, 0, 3), slice_axis(joint, 2, 3, 6)
+                b_t, c_t = joint[..., :3], joint[..., 3:]
                 assert not b_t.data.flags.c_contiguous
             else:
                 b_t, c_t = Tensor(b.copy(), requires_grad=True), Tensor(c.copy(), requires_grad=True)
@@ -487,7 +487,7 @@ class TestMambaForward:
 
 class TestBidirectional:
     def test_identity_stub_algebra(self, monkeypatch):
-        # with the scan replaced by identity: value = x + reverse(reverse(x)) = 2x
+        # with the scan replaced by identity: value = x + x[:, ::-1][:, ::-1] = 2x
         monkeypatch.setattr(mamba, "mamba_forward", lambda t, p: t)
         x = RNG.standard_normal((2, 5, 3))
         out = bidirectional_mamba(Tensor(x), None, None)
@@ -495,7 +495,7 @@ class TestBidirectional:
 
     def test_reverse_is_involution(self):
         x = RNG.standard_normal((2, 5, 3))
-        np.testing.assert_array_equal(reverse(reverse(Tensor(x), 1), 1).data, x)
+        np.testing.assert_array_equal(Tensor(x)[:, ::-1][:, ::-1].data, x)
 
     def test_compositional_oracle_shared_params(self):
         p = tiny_params()

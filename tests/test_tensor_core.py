@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, expit
 
+from attention_mamba import tensor_core
 from attention_mamba.tensor_core import (
     GraphConsumedError,
     MacCounter,
@@ -20,10 +21,8 @@ from attention_mamba.tensor_core import (
     matmul,
     no_grad,
     pool_window_bounds,
-    reverse,
     selective_scan,
     silu_gate,
-    slice_axis,
     softmax_last,
     _erf,
     _row_windows,
@@ -52,18 +51,17 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self):
         gradcheck(matmul, [rand(3, 4), rand(4, 2)])
 
-    def test_batched_with_broadcast(self):
-        gradcheck(matmul, [rand(3, 2, 4), rand(1, 4, 2)])
-        gradcheck(matmul, [rand(1, 2, 4), rand(3, 4, 2)])
-
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as exc:
             matmul(Tensor(rand(2, 3)), Tensor(rand(2, 3)))
         assert "(2, 3)" in str(exc.value)
 
     def test_batch_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(rand(2, 3, 4)), Tensor(rand(3, 4, 2)))
+        # batch extents must be equal: none broadcasts, from 1 or from none
+        for a, b in [((2, 3, 4), (3, 4, 2)), ((3, 2, 4), (1, 4, 2)), ((1, 2, 4), (3, 4, 2)),
+                     ((2, 3, 4), (4, 2))]:
+            with pytest.raises(ShapeError, match="batch extents disagree"):
+                matmul(Tensor(rand(*a)), Tensor(rand(*b)))
 
 
 class TestBackward:
@@ -227,8 +225,9 @@ PRIMITIVE_CASES = [
     ("matmul", matmul, lambda: [rand(2, 3, 4), rand(2, 4, 5)]),
     ("transpose_last2", lambda a: a.transpose_last2(), lambda: [rand(2, 3, 4)]),
     ("concatenate", lambda a, b: concatenate([a, b], axis=1), lambda: [rand(2, 3), rand(2, 2)]),
-    ("slice", lambda a: slice_axis(a, 1, 1, 3), lambda: [rand(2, 5)]),
-    ("reverse", lambda a: reverse(a, 1), lambda: [rand(2, 5)]),
+    ("slice", lambda a: a[:, 1:3], lambda: [rand(2, 5)]),
+    ("reverse", lambda a: a[:, ::-1], lambda: [rand(2, 5)]),
+    ("slice_ellipsis", lambda a: a[..., 1:3], lambda: [rand(2, 3, 5)]),
     ("sum_all", lambda a: a.sum() * Tensor(1.0), lambda: [rand(3, 4)]),
     ("mean_all", lambda a: a.mean() * Tensor(1.0), lambda: [rand(3, 4)]),
     ("mean_axis", lambda a: a.mean(axis=1), lambda: [rand(3, 4, 2)]),
@@ -284,7 +283,7 @@ MULTI_INPUT_CASES = [
     ("sub", lambda a, b: a - b, lambda: [rand(2, 1, 4), rand(3, 1)]),
     ("mul", lambda a, b: a * b, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
     ("div", lambda a, b: a / b, lambda: [rand(3, 4), rand(4, lo=0.5, hi=2.0)]),
-    ("matmul", matmul, lambda: [rand(2, 3, 4), rand(4, 5)]),
+    ("matmul", matmul, lambda: [rand(2, 3, 4), rand(2, 4, 5)]),
     ("silu_gate", silu_gate, lambda: [rand(2, 3, 1), rand(2, 1, 5)]),
     ("affine", affine, lambda: [rand(2, 3, 4), rand(4, 3), rand(3)]),
     ("conv1d_causal", conv1d_depthwise_causal, lambda: [rand(2, 6, 3), rand(3, 3), rand(3)]),
@@ -429,13 +428,12 @@ def scattered(shape, index, g):
     return out
 
 
-class TestSliceAxis:
+class TestIndex:
     def test_two_slices_of_one_parent_add_as_scattered_gradients(self):
         # overlapping slices [0, 4) and [2, 7) of axis 1
         x = Tensor(rand(3, 7, 5), requires_grad=True)
         w1, w2 = rand(3, 4, 5), rand(3, 5, 5)
-        backward((slice_axis(x, 1, 0, 4) * Tensor(w1)).sum()
-                 + (slice_axis(x, 1, 2, 7) * Tensor(w2)).sum())
+        backward((x[:, 0:4] * Tensor(w1)).sum() + (x[:, 2:7] * Tensor(w2)).sum())
         expected = (scattered(x.data.shape, np.s_[:, 0:4], w1)
                     + scattered(x.data.shape, np.s_[:, 2:7], w2))
         assert x.grad.tobytes() == expected.tobytes()
@@ -447,7 +445,7 @@ class TestSliceAxis:
         held[:, 3, :2] = -0.0             # inside it
         x.grad = held.copy()
         w = rand(3, 4, 5)
-        backward((slice_axis(x, 1, 2, 6) * Tensor(w)).sum())
+        backward((x[:, 2:6] * Tensor(w)).sum())
         expected = held + scattered(x.data.shape, np.s_[:, 2:6], w)
         # bit for bit as scatter-into-zeros plus add, but for the sign of a
         # zero outside the slice: there the held -0.0 stays -0.0, where
@@ -461,15 +459,33 @@ class TestSliceAxis:
 
     def test_gradient_keeps_parent_dtype(self):
         x = Tensor(rand(2, 6).astype(np.float32), requires_grad=True)
-        backward(slice_axis(x, 1, 1, 3).sum())
+        backward(x[:, 1:3].sum())
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, scattered((2, 6), np.s_[:, 1:3], 1.0))
+
+    @pytest.mark.parametrize("index", [np.s_[:, 1:3], np.s_[:, ::-1]], ids=["slice", "flip"])
+    def test_output_is_a_view_of_the_input(self, index):
+        x = Tensor(rand(2, 5), requires_grad=True)
+        out = x[index]
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, x.data[index])
+
+    @pytest.mark.parametrize("index", [1, np.s_[:, 0], [0, 0], np.array([0, 0]), True,
+                                       np.array([True, False]), np.s_[None, :]],
+                             ids=["int", "int_in_tuple", "list", "array", "bool", "mask", "newaxis"])
+    def test_other_indices_raise_and_record_no_node(self, index, monkeypatch):
+        made = []
+        monkeypatch.setattr(tensor_core, "_Node", lambda *args: made.append(args))
+        x = Tensor(rand(2, 5), requires_grad=True)
+        with pytest.raises(TypeError, match="only slices and"):
+            x[index]
+        assert made == []
 
 
 class TestInvariants:
     def test_reverse_is_involution_exact(self):
         x = rand(3, 5, 2)
-        out = reverse(reverse(Tensor(x), 1), 1)
+        out = Tensor(x)[:, ::-1][:, ::-1]
         np.testing.assert_array_equal(out.data, x)
 
     def test_softmax_rows_nonnegative_sum_to_one(self):
