@@ -754,12 +754,6 @@ def pool_window_bounds(in_size: int, out_size: int) -> list:
     ]
 
 
-def _argmax_moves(new: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Where argmax, having found `best` so far, moves on to a later `new`:
-    new is greater, or new is NaN and best is not (the first NaN wins)."""
-    return ~(new <= best) & (best == best)
-
-
 @lru_cache(maxsize=64)
 def _row_windows(n_rows: int, n_out: int, dtype: np.dtype) -> tuple:
     """The cached, read-only arrays that pool n_rows rows into n_out windows.
@@ -787,23 +781,25 @@ def fuse_pool(x: Tensor) -> Tensor:
     Output (i, j) pools the block of rows pool_window_bounds(N, E/4)[i]
     (overlapping when N < E/4) and columns 4j..4j+3. The average is one
     matmul by ``_row_windows``' map, [E/4, N] @ [B, N, E], then the 4
-    strided column views added left to right; its gradient is the
-    transposed matmul. Where no window has more than 2 rows (whenever
-    N <= E/4, as at weather's N=21, E=128) the output is bit-identical to
-    pooling rows, then columns, one axis at a time with numpy's mean, but
-    for the sign of a zero: a block of signed zeros averages to +0.0. So is
-    the gradient where, in addition, no row lies in more than 2 windows.
-    Wider sums round apart from numpy's by a few ulps. As the matmul
-    weighs every row, a NaN or infinity in x makes the average of every
-    window of its column non-finite (0 * inf is NaN, and warns).
+    strided column views added left to right; its gradient is the transposed
+    matmul. Where no window has more than 2 rows (whenever N <= E/4) the
+    output is bit-identical to pooling rows, then columns, one axis at a
+    time with numpy's mean, but for the sign of a zero: a block of signed
+    zeros averages to +0.0. So is the gradient where, in addition, no row
+    lies in more than 2 windows. Wider sums round apart from numpy's by a
+    few ulps. As the matmul weighs every row, an infinity in x makes the
+    average of every window of its column non-finite (0 * inf is NaN, and
+    warns).
 
     The maxima fold np.maximum over the ``padded`` row slabs, then the
-    column views, in an operand order that is not promised: on a tie of
-    -0.0 and +0.0 either may come out. The max gradient goes to the
-    block's first maximum with columns outermost, as argmax picks it (the
-    first NaN, if any), and is added after the average's. The argmax runs
-    only in the backward, from x's data, so a forward that records no tape
-    (a forecast, or evaluation under no_grad) never pays for it.
+    column views, in an operand order that is not promised: on a tie of -0.0
+    and +0.0 either may come out. The max gradient goes to the block's first
+    maximum with columns outermost, as argmax picks it, and is added after
+    the average's; the argmax runs in the backward alone. x must hold no NaN
+    there: a block with one sends its max gradient to an unspecified entry.
+    No sweep of the model meets one, as forward refuses non-finite input and
+    train() stops before it sweeps a non-finite loss
+    (test_train_never_sweeps_a_non_finite_loss).
     """
     if x.data.ndim != 3 or x.data.shape[1] < 1 or x.data.shape[2] < 4 or x.data.shape[2] % 4:
         raise ShapeError(
@@ -834,12 +830,11 @@ def fuse_pool(x: Tensor) -> Tensor:
         at = np.zeros(best.shape, np.int32)
         for k in range(1, span):
             slab = np.take(x_data, padded[:, k], axis=1)
-            np.maximum(at, _argmax_moves(slab, best) * np.int32(k), out=at)
+            np.maximum(at, (slab > best) * np.int32(k), out=at)
             np.maximum(slab, best, out=best)
         col_best, pos = best[..., 0::4], at[..., 0::4].copy()        # pos = c * span + k
         for c in range(1, 4):
-            moves = _argmax_moves(best[..., c::4], col_best)
-            np.maximum(pos, moves * (at[..., c::4] + c * span), out=pos)
+            np.maximum(pos, (best[..., c::4] > col_best) * (at[..., c::4] + c * span), out=pos)
             np.maximum(best[..., c::4], col_best, out=col_best)
         col, k = np.divmod(pos, span)
         win = np.arange(quarter)

@@ -169,12 +169,12 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
 
     Restores the best-validation checkpoint into the model on every exit,
     through ``load_parameters``. A non-finite training loss, gradient or
-    validation MSE, or a step size that is not a positive number
-    (NonPositiveStepError from the scan), ends the run flagged as diverged;
-    ``PATIENCE`` stale epochs end it as stopped early.
+    validation MSE, or a NonPositiveStepError from the scan ends the run
+    flagged as diverged; ``PATIENCE`` stale epochs end it as stopped early.
     Each step's graph dies with the frame of ``_train_step``, so one tape is
-    alive at a time, and the validation pass builds none. A dataset whose
-    (lookback, horizon) or variate count is not the model's raises DataError.
+    alive at a time, and the validation pass builds none. A dataset with no
+    training or no validation window, or whose (lookback, horizon) or
+    variate count is not the model's, raises DataError.
     """
     L, T = dataset.lookback, dataset.horizon
     if (L, T) != (model.config.lookback, model.config.horizon):
@@ -188,7 +188,7 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
         raise DataError("dataset yields no training windows")
     val_windows = dataset.windows("val")
     if not val_windows:
-        log.info("no validation windows; using train loss for early stopping")
+        raise DataError("dataset yields no validation windows")
 
     values, dtype = dataset.values, model.config.dtype
     named = model.named_parameters()
@@ -215,8 +215,7 @@ def train(model: AttentionMambaModel, dataset: SplitDataset,
                 n_elem += n
 
             train_mse = sq_sum / n_elem
-            val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0] \
-                if val_windows else train_mse
+            val_mse = evaluate_mse_mae(model, val_windows, cfg.batch_size)[0]
             if not math.isfinite(val_mse):
                 raise NonFiniteLossError(f"non-finite validation MSE {val_mse}")
         except (NonFiniteLossError, NonFiniteGradientError, NonPositiveStepError) as exc:

@@ -1,4 +1,3 @@
-import logging
 import math
 import tracemalloc
 import weakref
@@ -200,18 +199,13 @@ class TestTrain:
         with pytest.raises(DataError, match="no training windows"):
             train(tiny_model(), ds, TrainRunConfig(epochs=1))
 
-    def test_no_validation_window_stops_early_on_train_loss(self, monkeypatch, caplog):
-        # a frozen model on one training window: every epoch's loss is the
-        # same, so the train loss stops improving after the first epoch
+    def test_series_without_a_validation_window_rejected(self):
+        # one training window and an empty validation range: there is
+        # nothing to pick a best epoch or stop early on
         ds = replace(tiny_dataset(total=18), val_range=(12, 12))
         assert len(ds.windows("train")) == 1 and not ds.windows("val")
-        monkeypatch.setattr(training, "adam_step", lambda *args: None)
-        with caplog.at_level(logging.INFO, logger=training.__name__):
-            result = train(tiny_model(), ds, TrainRunConfig(epochs=40))
-        assert "no validation windows; using train loss" in caplog.text
-        assert result.stopped_early and not result.diverged
-        assert len(result.curve) == training.PATIENCE + 1 and result.best_epoch == 0
-        assert all(val == train_mse == result.best_val for _, train_mse, val in result.curve)
+        with pytest.raises(DataError, match="no validation windows"):
+            train(tiny_model(), ds, TrainRunConfig(epochs=1))
 
     def test_zero_epoch_memory_is_bounded_by_the_series(self):
         ds, model = wide_dataset_and_model()
@@ -272,6 +266,21 @@ class TestTrain:
         assert result.curve == [] and result.best_epoch == -1
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
+
+    # fuse_pool's backward gives a NaN no first-maximum rule, so a sweep of a
+    # non-finite loss would route its max gradients arbitrarily
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_never_sweeps_a_non_finite_loss(self, monkeypatch):
+        swept = []
+
+        def recording_gradients(loss, params):
+            swept.append(math.isfinite(loss.item()))
+            return gradients(loss, params)
+
+        monkeypatch.setattr(training, "gradients", recording_gradients)
+        result = train(tiny_model(precision="32"), tiny_dataset(),
+                       TrainRunConfig(epochs=50, batch_size=16, lr=1e30))
+        assert result.diverged and swept and all(swept)
 
     # fewer epochs than PATIENCE, so a NaN epoch can never count as a stale one
     @pytest.mark.parametrize("nan_from", [0, 1])
