@@ -53,8 +53,8 @@ def linear(x: Tensor, layer: LinearLayer) -> Tensor:
 class RevInState:
     """Per-batch statistics captured by normalize, reused by denormalize."""
 
-    mu: Tensor       # [B, 1, N]
-    sigma: Tensor    # [B, 1, N], >= sqrt(eps)
+    mu: np.ndarray       # [B, 1, N]
+    sigma: np.ndarray    # [B, 1, N], >= sqrt(eps)
 
 
 class RevIN:
@@ -62,9 +62,11 @@ class RevIN:
 
     normalize subtracts the lookback mean and divides by the population
     std (epsilon inside the square root), then applies the learnable
-    affine (gamma, beta). denormalize inverts the affine and restores the
-    stored statistics, which for the forecast horizon are the lookback
-    statistics (the only ones available at inference).
+    affine (gamma, beta). The statistics are the data's, taken off the
+    tape, so no gradient flows through them (the reference RevIN detaches
+    them too) and x's gradient is g * gamma / sigma. denormalize inverts
+    the affine and restores the stored statistics, which for the forecast
+    horizon are the lookback's, the only ones available at inference.
     """
 
     def __init__(self, n_variates: int):
@@ -73,10 +75,10 @@ class RevIN:
 
     def normalize(self, x: Tensor) -> tuple[Tensor, RevInState]:
         """x is [B, L, N] with L >= 2; returns (normalized, state)."""
-        mu = x.mean(axis=1)
-        centered = x - mu
-        sigma = ((centered * centered).mean(axis=1) + REVIN_EPS).sqrt()
-        out = centered / sigma * self.gamma + self.beta
+        mu = x.data.mean(axis=1, keepdims=True)
+        centered = x.data - mu
+        sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + REVIN_EPS)
+        out = (x - mu) / sigma * self.gamma + self.beta
         return out, RevInState(mu=mu, sigma=sigma)
 
     def denormalize(self, y: Tensor, state: RevInState) -> Tensor:

@@ -39,9 +39,7 @@ Only leaves keep ``.grad``. Inside ``no_grad()`` no op records a graph, so
 a forward holds only its live arrays.
 
 Elementwise binary ops follow numpy broadcasting; gradients are summed
-back over broadcast axes. Only leading-batch broadcasting is part of the
-documented contract, but the general rule is implemented because RevIN's
-[B, 1, N] statistics broadcast over the time axis.
+back over broadcast axes.
 
 What a closure keeps is what its backward reads; an array the backward can
 rebuild cheaply from the kept ones is rebuilt rather than kept, by the
@@ -49,11 +47,11 @@ forward's operations on the same operands, so no bit of any gradient
 changes. ``+``, ``-``, the transposes and the reductions keep only shapes,
 and indexing (``x[index]``) its index and its input's shape; ``*`` and
 ``/`` keep both operands, matmul both factors. ``affine`` keeps the weight
-and x as a 2-D matrix, a view unless x is strided. ``sqrt`` and
-``softmax_last`` keep their outputs, ``gelu`` x and its normal cdf, and
-``silu_gate`` its two operands and no silu. The docstrings of ``silu``,
-``silu_gate``, the causal convolution, the selective scan and ``fuse_pool``
-say what each keeps and rebuilds.
+and x as a 2-D matrix, a view unless x is strided. ``softmax_last`` keeps
+its output, ``gelu`` x and its normal cdf, and ``silu_gate`` its two
+operands and no silu. The docstrings of ``silu``, ``silu_gate``, the
+causal convolution, the selective scan and ``fuse_pool`` say what each
+keeps and rebuilds.
 """
 
 from __future__ import annotations
@@ -248,22 +246,14 @@ class Tensor:
             _acc(x, np.broadcast_to(g, shape))
         return _node(self.data.sum(), (self,), back)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        """Mean of all elements, or along one axis, which is kept."""
-        y = self.data.mean(axis=axis, keepdims=axis is not None)
-        shape = self.data.shape
-        count = self.data.size if axis is None else shape[axis]
+    def mean(self) -> "Tensor":
+        """Mean of all elements."""
+        shape, count = self.data.shape, self.data.size
         def back(g, x):
             _acc(x, np.broadcast_to(g, shape) / count)
-        return _node(y, (self,), back)
+        return _node(self.data.mean(), (self,), back)
 
     # -- pointwise nonlinearities --------------------------------------------
-
-    def sqrt(self) -> "Tensor":
-        y = np.sqrt(self.data)
-        def back(g, x):
-            _acc(x, g * 0.5 / y)
-        return _node(y, (self,), back)
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x), the sigmoid 1 / (1 + exp(-x)) by numpy's exp

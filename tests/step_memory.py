@@ -7,7 +7,8 @@ Run it from the repository root on two trees and compare the lines:
 The first line names the BLAS threading and the numpy version, by
 ``tests/bit_hashes.py``'s ``blas_line``. Then, at B=32, N=21 and at B=16,
 N=321 and N=862 (the variate counts of Weather, Electricity and Traffic),
-on the model, inputs and targets of ``bit_hashes.py``'s ``step_fixture``:
+and at B=1, N=862 (the largest forward of the benchmark's score sweep), on
+the model, inputs and targets of ``bit_hashes.py``'s ``step_fixture``:
 
 - tape: the MiB the forward's output holds when the forward returns, its
   graph's saved arrays included, the fusion's trace dropped;
@@ -57,7 +58,7 @@ def measure(batch: int, n_variates: int) -> tuple[float, float, float]:
 
 def main() -> None:
     print(blas_line())
-    for batch, n_variates in ((32, 21), (16, 321), (16, 862)):
+    for batch, n_variates in ((32, 21), (16, 321), (16, 862), (1, 862)):
         tape, forward_peak, step_peak = measure(batch, n_variates)
         print(f"B={batch}, N={n_variates}: tape {tape:.1f} MiB, forward peak "
               f"{forward_peak:.1f} MiB, step peak {step_peak:.1f} MiB")

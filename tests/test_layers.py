@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attention_mamba.layers import LinearLayer, RevIN, linear
-from attention_mamba.tensor_core import ShapeError, Tensor
+from attention_mamba.tensor_core import ShapeError, Tensor, gradients
 from helpers import gradcheck
 
 RNG = np.random.default_rng(11)
@@ -58,9 +58,9 @@ class TestRevInNormalize:
         revin = RevIN(1)
         x = np.array([[[1.0], [2.0], [3.0]]])
         out, state = revin.normalize(Tensor(x))
-        np.testing.assert_allclose(state.mu.data, [[[2.0]]])
+        np.testing.assert_allclose(state.mu, [[[2.0]]])
         expected_sigma = np.sqrt(2.0 / 3.0 + 1e-5)
-        np.testing.assert_allclose(state.sigma.data, [[[expected_sigma]]], rtol=1e-12)
+        np.testing.assert_allclose(state.sigma, [[[expected_sigma]]], rtol=1e-12)
         np.testing.assert_allclose(
             out.data[0, :, 0], [-1.0 / expected_sigma, 0.0, 1.0 / expected_sigma], rtol=1e-12
         )
@@ -105,7 +105,7 @@ class TestRevInRoundTrip:
         x = RNG.standard_normal((1, 6, 2))
         _, state = revin.normalize(Tensor(x))
         out = revin.denormalize(Tensor(np.zeros((1, 4, 2))), state)
-        np.testing.assert_allclose(out.data, np.broadcast_to(state.mu.data, (1, 4, 2)), rtol=1e-12)
+        np.testing.assert_allclose(out.data, np.broadcast_to(state.mu, (1, 4, 2)), rtol=1e-12)
 
     def test_round_trip_property_sweep(self):
         # any finite input with per-variate std above 1e-3
@@ -119,15 +119,24 @@ class TestRevInRoundTrip:
             assert np.abs(back.data - x).max() / max(scale, 1.0) < 1e-6
 
     def test_gradients_flow_through_affine(self):
-        def op(x, gamma, beta):
+        x = Tensor(RNG.uniform(-2, 2, (2, 6, 3)))
+
+        def op(gamma, beta):
             revin = RevIN(3)
             revin.gamma = gamma
             revin.beta = beta
             out, state = revin.normalize(x)
             return revin.denormalize(out * 0.5, state)
 
-        gradcheck(
-            op,
-            [RNG.uniform(-2, 2, (2, 6, 3)), RNG.uniform(0.5, 2, 3), RNG.uniform(-1, 1, 3)],
-            tol=1e-6,
-        )
+        gradcheck(op, [RNG.uniform(0.5, 2, 3), RNG.uniform(-1, 1, 3)], tol=1e-6)
+
+    def test_input_gradient_skips_the_statistics(self):
+        # the statistics are detached, as in the reference RevIN: x's
+        # gradient through normalize is g * gamma / sigma
+        revin = RevIN(3)
+        revin.gamma.data[:] = [0.5, 1.0, 2.0]
+        x = Tensor(RNG.standard_normal((2, 6, 3)) * 3.0 + 1.0, requires_grad=True)
+        out, state = revin.normalize(x)
+        g = RNG.standard_normal((2, 6, 3))
+        (gx,) = gradients((out * Tensor(g)).sum(), [x])
+        np.testing.assert_allclose(gx, g * revin.gamma.data / state.sigma, rtol=1e-12)

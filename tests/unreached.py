@@ -11,8 +11,10 @@ then prints each statement none of whose own lines ran, as
 ``path:line: source``, and their count. A compound statement's own lines
 are its header, decorators included; a simple statement's are all its
 lines. Docstrings, ``global`` and ``nonlocal`` declarations, and
-statements that compile to no instruction (``try:``) are skipped. It uses
-the standard library only. The exit status is pytest's.
+statements that compile to no instruction are skipped. On CPython 3.11 a
+``try:`` header compiles to a no-op, so a ``try`` is listed by its header
+line, which runs whenever its body does. It uses the standard library
+only. The exit status is pytest's.
 
 The file is not a test module: pytest does not collect it.
 """
